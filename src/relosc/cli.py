@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from .verify import SUITES, MARGIN
 EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_INPUT = 2
+
+SCALAR_OPTIONS = ("--lambda", "--lambda0", "--lambda1")
 
 
 def parse_matrix(path: str):
@@ -68,6 +71,19 @@ def _parse_lambda(text: str):
         return float(text), False
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from exc
+
+
+def _join_negative_scalars(argv: list) -> list:
+    """Rewrite "--lambda -1/2" as "--lambda=-1/2".  argparse reads a separate
+    token such as -1/2 or -1e-3 as an option rather than as the value of the
+    option before it."""
+    out = []
+    for token in argv:
+        if out and out[-1] in SCALAR_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _run_mode(requested: str, inferred_exact: bool) -> str:
@@ -238,8 +254,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"relosc: bad RELOSC_MODE {mode!r}\n")
         return EXIT_INPUT
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_scalars(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

@@ -62,7 +62,3 @@ class ParseError(ReloscError):
 
 class NearEigenvalueWarning(UserWarning):
     """Float-mode classification fell inside a tolerance band near zero."""
-
-
-class FloatModeUnreliableWarning(UserWarning):
-    """A float-mode yes/no answer was decided inside the tolerance band."""

@@ -9,6 +9,7 @@ a(0) = a(N-1) = a(N) = -1, b(N) = 0 is exposed through ``extended_a`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -17,7 +18,7 @@ from .errors import (
     IndexOutOfRange,
     NonNegativeOffDiagonal,
 )
-from .numeric import Number, all_exact, to_exact, to_float
+from .numeric import Number, is_exact
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class JacobiMatrix:
 
     @property
     def exact(self) -> bool:
-        return all_exact(self.a) and all_exact(self.b)
+        return all(is_exact(x) for x in self.a + self.b)
 
     def extended_a(self, n: int) -> Number:
         """Off-diagonal with the boundary convention a(0)=a(N-1)=a(N)=-1."""
@@ -111,8 +112,8 @@ def interpolate(h0: JacobiMatrix, h1: JacobiMatrix, eps: Number) -> JacobiMatrix
 
 
 def to_exact_matrix(h: JacobiMatrix) -> JacobiMatrix:
-    return JacobiMatrix(h.N, tuple(to_exact(x) for x in h.a), tuple(to_exact(x) for x in h.b))
+    return JacobiMatrix(h.N, tuple(map(Fraction, h.a)), tuple(map(Fraction, h.b)))
 
 
 def to_float_matrix(h: JacobiMatrix) -> JacobiMatrix:
-    return JacobiMatrix(h.N, tuple(to_float(x) for x in h.a), tuple(to_float(x) for x in h.b))
+    return JacobiMatrix(h.N, tuple(map(float, h.a)), tuple(map(float, h.b)))

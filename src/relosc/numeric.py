@@ -1,10 +1,13 @@
 """Scalar helpers for the two numeric modes.
 
 Exact mode works over ``int``/``fractions.Fraction`` where every sign test
-is error-free.  Float mode is binary64; sign classification of floats
-follows a documented tolerance policy: x counts as zero iff
-``|x| <= TAU_ABS + TAU_REL * scale`` for a caller-supplied scale
-(typically the largest magnitude in the sequence being classified).
+is error-free.  Float mode is binary64.  All sign decisions go through
+``classify``, which takes a whole sequence at once: exact entries are
+compared exactly, and a float entry x counts as zero iff
+``|x| <= TAU_ABS + TAU_REL * scale``, where scale is the largest ``|x|``
+over the sequence's float entries (1.0 when that is zero or there are
+none).  A float called zero that is not exactly zero lies in the
+tolerance band, which callers report or refuse to resolve.
 """
 
 from __future__ import annotations
@@ -23,34 +26,24 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def all_exact(values: Iterable[Number]) -> bool:
-    return all(is_exact(v) for v in values)
-
-
-def zero_tolerance(scale: float) -> float:
-    return TAU_ABS + TAU_REL * abs(scale)
-
-
-def sign(x: Number, scale: float = 1.0) -> int:
-    """Sign in {-1, 0, +1}; exact for rationals, tolerance-based for floats."""
-    if is_exact(x):
-        return (x > 0) - (x < 0)
-    if abs(x) <= zero_tolerance(scale):
-        return 0
-    return 1 if x > 0 else -1
-
-
-def in_tolerance_band(x: Number, scale: float = 1.0) -> bool:
-    """True when a float is classified as zero but is not exactly zero."""
-    if is_exact(x):
-        return False
-    return x != 0.0 and abs(x) <= zero_tolerance(scale)
-
-
-def seq_scale(values: Iterable[Number]) -> float:
-    """Default classification scale: largest magnitude in the sequence."""
-    m = max((abs(float(v)) for v in values), default=0.0)
-    return m if m > 0.0 else 1.0
+def classify(values: Iterable[Number]) -> tuple:
+    """(signs, band) of a sequence: signs[n] in {-1, 0, +1}, and band[n]
+    true when a float is classified as zero but is not exactly zero."""
+    values = tuple(values)
+    m = max((abs(float(v)) for v in values if not is_exact(v)), default=0.0)
+    tol = TAU_ABS + TAU_REL * (m if m > 0.0 else 1.0)
+    signs, band = [], []
+    for x in values:
+        if is_exact(x):
+            signs.append((x > 0) - (x < 0))
+            band.append(False)
+        elif abs(x) <= tol:
+            signs.append(0)
+            band.append(x != 0.0)
+        else:
+            signs.append(1 if x > 0 else -1)
+            band.append(False)
+    return signs, band
 
 
 def parse_scalar(value) -> Number:
@@ -71,12 +64,4 @@ def format_scalar(x: Number, exact: bool):
     if exact:
         f = Fraction(x)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return float(x)
-
-
-def to_exact(x: Number) -> Fraction:
-    return Fraction(x)
-
-
-def to_float(x: Number) -> float:
     return float(x)

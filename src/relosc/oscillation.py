@@ -17,14 +17,13 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import (
-    FloatModeUnreliableWarning,
     IndexOutOfRange,
     InconsistentSigns,
     NearEigenvalueWarning,
     PairingDisagreement,
 )
 from .jacobi import JacobiMatrix, require_compatible
-from .numeric import Number, in_tolerance_band, seq_scale, sign
+from .numeric import Number, classify
 from .recurrence import (
     SolutionSequence,
     WronskianSequence,
@@ -40,23 +39,24 @@ class CountReport:
 
     count: int
     method: str  # "direct-signs" | "pruefer-angles"
-    details: tuple  # per-index indicator (or node flag) list
+    details: tuple  # per-index indicator list
     boundary_correction: int = 0
 
 
-def _solution_signs(u: SolutionSequence) -> list:
-    scale = seq_scale(u.values)
-    return [sign(v, scale) for v in u.values]
+def _is_node(signs: list, n: int) -> bool:
+    return signs[n] == 0 or signs[n] * signs[n + 1] < 0
+
+
+def _count_nodes(signs: list, m: int, n: int) -> int:
+    # the node at m counts only when u(m) != 0, i.e. for a sign flip at m
+    return sum(_is_node(signs, n0) for n0 in range(m + 1, n)) + (signs[m] * signs[m + 1] < 0)
 
 
 def is_node(u: SolutionSequence, n: int) -> bool:
     """n is a node iff u(n) = 0 or u(n) u(n+1) < 0."""
     if not 0 <= n <= u.N:
         raise IndexOutOfRange(f"node index {n} outside 0..{u.N}")
-    scale = seq_scale(u.values)
-    s0 = sign(u.values[n], scale)
-    s1 = sign(u.values[n + 1], scale)
-    return s0 == 0 or s0 * s1 < 0
+    return _is_node(classify(u.values)[0], n)
 
 
 def count_nodes(u: SolutionSequence, m: int, n: int) -> int:
@@ -64,56 +64,29 @@ def count_nodes(u: SolutionSequence, m: int, n: int) -> int:
     m itself when u(m) != 0."""
     if not 0 <= m < n <= u.N:
         raise IndexOutOfRange(f"need 0 <= m < n <= {u.N}, got ({m}, {n})")
-    scale = seq_scale(u.values)
-    signs = _solution_signs(u)
-    total = 0
-    for n0 in range(m, n):
-        node = signs[n0] == 0 or signs[n0] * signs[n0 + 1] < 0
-        if node and (n0 > m or signs[m] != 0):
-            total += 1
-    return total
+    return _count_nodes(classify(u.values)[0], m, n)
 
 
-def node_report(u: SolutionSequence, m: int, n: int) -> CountReport:
-    signs = _solution_signs(u)
-    flags = tuple(
-        1 if (signs[n0] == 0 or signs[n0] * signs[n0 + 1] < 0) and (n0 > m or signs[m] != 0) else 0
-        for n0 in range(m, n)
-    )
-    return CountReport(sum(flags), "direct-signs", flags)
+def _minus_signs(h: JacobiMatrix, lam: Number) -> list:
+    """Signs of s_-(lambda, .), warning when s_-(lambda, N) is in the band."""
+    signs, band = classify(solve_minus(h, lam).values)
+    if band[h.N]:
+        warnings.warn(
+            "s_-(lambda, N) is inside the tolerance band; lambda may be an eigenvalue",
+            NearEigenvalueWarning,
+            stacklevel=3,
+        )
+    return signs
 
 
 def count_below(h: JacobiMatrix, lam: Number) -> int:
     """Number of eigenvalues of H strictly below lambda (Sturm-type count)."""
-    u = solve_minus(h, lam)
-    if in_tolerance_band(u.values[h.N], seq_scale(u.values)):
-        warnings.warn(
-            "s_-(lambda, N) is inside the tolerance band; lambda may be an eigenvalue",
-            NearEigenvalueWarning,
-            stacklevel=2,
-        )
-    return count_nodes(u, 0, h.N)
+    return _count_nodes(_minus_signs(h, lam), 0, h.N)
 
 
 def is_eigenvalue(h: JacobiMatrix, lam: Number) -> bool:
     """True iff s_-(lambda, N) = 0; exact only in rational mode."""
-    u = solve_minus(h, lam)
-    scale = seq_scale(u.values)
-    if in_tolerance_band(u.values[h.N], scale):
-        warnings.warn(
-            "eigenvalue decision fell inside the float tolerance band",
-            FloatModeUnreliableWarning,
-            stacklevel=2,
-        )
-    return sign(u.values[h.N], scale) == 0
-
-
-def _wronskian_signs(w: WronskianSequence):
-    w_scale = seq_scale(w.values)
-    b_scale = seq_scale(w.b_diff)
-    sw = [sign(v, w_scale) for v in w.values]
-    sb = [sign(v, b_scale) for v in w.b_diff]
-    return sw, sb
+    return _minus_signs(h, lam)[h.N] == 0
 
 
 def _indicator_from_signs(sw_n: int, sw_n1: int, sb: int) -> int:
@@ -132,15 +105,15 @@ def _indicator_from_signs(sw_n: int, sw_n1: int, sb: int) -> int:
 
 
 def weighted_node_indicator(w: WronskianSequence, n: int) -> int:
-    """Weighted node indicator in {-1, 0, +1} at index 0 <= n <= N-1."""
+    """Weighted node indicator in {-1, 0, +1} at index 0 <= n <= N-1, read
+    from the whole report: an impossible sign pattern anywhere in w raises."""
     if not 0 <= n <= w.N - 1:
         raise IndexOutOfRange(f"indicator index {n} outside 0..{w.N - 1}")
-    sw, sb = _wronskian_signs(w)
-    return _indicator_from_signs(sw[n], sw[n + 1], sb[n])
+    return weighted_node_report(w).details[n]
 
 
 def weighted_node_report(w: WronskianSequence) -> CountReport:
-    sw, sb = _wronskian_signs(w)
+    sw, sb = classify(w.values)[0], classify(w.b_diff)[0]
     indicators = tuple(
         _indicator_from_signs(sw[n], sw[n + 1], sb[n]) for n in range(w.N)
     )

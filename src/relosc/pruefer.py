@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchAmbiguity, DegenerateSolution, LengthMismatch
-from .numeric import in_tolerance_band, seq_scale, sign
+from .numeric import classify
 from .recurrence import SolutionSequence
 
 # How close theta/pi must be to an integer before the underlying sign data
@@ -53,18 +53,17 @@ class RelativeAngleSequence:
         return len(self.delta) - 1
 
 
-def _resolve_ceil(theta: float, sin_value, scale: float) -> int:
-    """ceil(theta/pi) with boundary cases decided by the sign of the
-    quantity proportional to sin(theta)."""
+def _resolve_ceil(theta: float, s: int, band: bool) -> int:
+    """ceil(theta/pi) with boundary cases decided by the sign s (and band
+    flag) of the quantity proportional to sin(theta)."""
     q = theta / math.pi
     r = round(q)
     near = abs(q - r) <= ANGLE_TOL * max(1.0, abs(q))
-    s = sign(sin_value, scale)
     if near:
-        if in_tolerance_band(sin_value, scale):
+        if band:
             raise BranchAmbiguity(
                 f"theta/pi = {q!r} is on a branch boundary and the sign of "
-                f"{sin_value!r} is inside the tolerance band"
+                "its sin-part is inside the tolerance band"
             )
         if s == 0:
             return int(r)
@@ -79,15 +78,17 @@ def _resolve_ceil(theta: float, sin_value, scale: float) -> int:
     return math.ceil(q)
 
 
-def _resolve_floor(theta: float, sin_value, scale: float) -> int:
-    q = theta / math.pi
-    r = round(q)
-    near = abs(q - r) <= ANGLE_TOL * max(1.0, abs(q))
-    if near and sign(sin_value, scale) == 0:
-        if in_tolerance_band(sin_value, scale):
-            raise BranchAmbiguity(f"floor of theta/pi = {q!r} is ambiguous")
-        return int(r)
-    return _resolve_ceil(theta, sin_value, scale) - 1
+def _resolve_floor(theta: float, s: int, band: bool) -> int:
+    # floor = ceil - 1, except on a multiple of pi, where the sin-part is zero
+    c = _resolve_ceil(theta, s, band)
+    return c if s == 0 else c - 1
+
+
+def _count_via_angles(angles: tuple, signs: list, band: list) -> int:
+    """ceil(angle(N)/pi) - floor(angle(0)/pi) - 1."""
+    n = len(angles) - 1
+    c_n = _resolve_ceil(angles[n], signs[n], band[n])
+    return c_n - _resolve_floor(angles[0], signs[0], band[0]) - 1
 
 
 def _base_angle(y: float, x: float) -> float:
@@ -104,18 +105,17 @@ def pruefer_sequence(u: SolutionSequence) -> PrueferSequence:
     theta(0) is fixed in (-pi, pi] by atan2(u(0), u(1)); each later angle is
     the unique representative satisfying the normalization chain.
     """
-    vals = u.values
-    fvals = [float(v) for v in vals]
-    scale = seq_scale(fvals)
+    fvals = [float(v) for v in u.values]
+    signs, band = classify(u.values)
     for n in range(u.N + 1):
-        if sign(vals[n], scale) == 0 and sign(vals[n + 1], scale) == 0:
+        if signs[n] == 0 and signs[n + 1] == 0:
             raise DegenerateSolution(f"u({n}) = u({n + 1}) = 0")
 
     theta = [_base_angle(fvals[0], fvals[1])]
-    ceil_prev = _resolve_ceil(theta[0], vals[0], scale)
+    ceil_prev = _resolve_ceil(theta[0], signs[0], band[0])
     for n in range(1, u.N + 1):
         base = _base_angle(fvals[n], fvals[n + 1])
-        k_base = _resolve_ceil(base, vals[n], scale)
+        k_base = _resolve_ceil(base, signs[n], band[n])
         # exactly one of {ceil_prev, ceil_prev+1} has the parity of k_base
         target = ceil_prev if (ceil_prev - k_base) % 2 == 0 else ceil_prev + 1
         theta.append(base + math.pi * (target - k_base))
@@ -126,18 +126,12 @@ def pruefer_sequence(u: SolutionSequence) -> PrueferSequence:
 
 def theta_ceils(p: PrueferSequence) -> tuple:
     """Resolved ceil(theta(n)/pi) for n = 0..N."""
-    scale = seq_scale(p.source.values)
-    return tuple(
-        _resolve_ceil(p.theta[n], p.source.values[n], scale) for n in range(p.N + 1)
-    )
+    return tuple(map(_resolve_ceil, p.theta, *classify(p.source.values)))
 
 
 def node_count_via_angles(p: PrueferSequence) -> int:
     """ceil(theta(N)/pi) - floor(theta(0)/pi) - 1."""
-    scale = seq_scale(p.source.values)
-    c_n = _resolve_ceil(p.theta[p.N], p.source.values[p.N], scale)
-    f_0 = _resolve_floor(p.theta[0], p.source.values[0], scale)
-    return c_n - f_0 - 1
+    return _count_via_angles(p.theta, *classify(p.source.values))
 
 
 def relative_angle_sequence(p0: PrueferSequence, p1: PrueferSequence) -> RelativeAngleSequence:
@@ -147,29 +141,22 @@ def relative_angle_sequence(p0: PrueferSequence, p1: PrueferSequence) -> Relativ
     return RelativeAngleSequence(delta, p0.source, p1.source)
 
 
-def _cross(d: RelativeAngleSequence, n: int):
-    """Quantity with the sign of sin(delta(n)): u1(n) u0(n+1) - u1(n+1) u0(n).
+def _cross_signs(d: RelativeAngleSequence) -> tuple:
+    """classify() of u1(n) u0(n+1) - u1(n+1) u0(n), which has the sign of
+    sin(delta(n)), for n = 0..N.
 
     Kept in the sources' native arithmetic so the sign is exact for
     rational solutions.
     """
     u0, u1 = d.source0.values, d.source1.values
-    return u1[n] * u0[n + 1] - u1[n + 1] * u0[n]
-
-
-def _cross_scale(d: RelativeAngleSequence) -> float:
-    return seq_scale(_cross(d, n) for n in range(d.N + 1))
+    return classify(u1[n] * u0[n + 1] - u1[n + 1] * u0[n] for n in range(d.N + 1))
 
 
 def delta_ceils(d: RelativeAngleSequence) -> tuple:
     """Resolved ceil(delta(n)/pi) for n = 0..N."""
-    scale = _cross_scale(d)
-    return tuple(_resolve_ceil(d.delta[n], _cross(d, n), scale) for n in range(d.N + 1))
+    return tuple(map(_resolve_ceil, d.delta, *_cross_signs(d)))
 
 
 def weighted_count_via_angles(d: RelativeAngleSequence) -> int:
     """ceil(delta(N)/pi) - floor(delta(0)/pi) - 1."""
-    scale = _cross_scale(d)
-    c_n = _resolve_ceil(d.delta[d.N], _cross(d, d.N), scale)
-    f_0 = _resolve_floor(d.delta[0], _cross(d, 0), scale)
-    return c_n - f_0 - 1
+    return _count_via_angles(d.delta, *_cross_signs(d))

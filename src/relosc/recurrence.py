@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import LengthMismatch
 from .jacobi import JacobiMatrix
 from .numeric import Number, is_exact
 
@@ -33,11 +33,6 @@ class SolutionSequence:
     values: tuple
     N: int
     scale_log: float = 0.0  # log of the accumulated positive rescaling
-
-    def value(self, n: int) -> Number:
-        if not 0 <= n <= self.N + 1:
-            raise IndexOutOfRange(f"u({n}) undefined, domain is 0..{self.N + 1}")
-        return self.values[n]
 
 
 def _coeffs(h: JacobiMatrix, z: Number):

@@ -98,11 +98,11 @@ def random_pair(rng: random.Random, dim: int):
     return h0, JacobiMatrix(h0.N, h0.a, b1)
 
 
-def _describe(h: JacobiMatrix) -> dict:
+def _describe(h: JacobiMatrix, exact: bool = True) -> dict:
     return {
         "N": h.N,
-        "a": [format_scalar(x, True) for x in h.a],
-        "b": [format_scalar(x, True) for x in h.b],
+        "a": [format_scalar(x, exact) for x in h.a],
+        "b": [format_scalar(x, exact) for x in h.b],
     }
 
 
@@ -423,7 +423,8 @@ def homotopy_suite(
         # closed-sum Wronskian derivative vs finite differences on a float instance
         h0f, h1f = random_float_pair(rng, rng.randint(1, min(max_dim, 10)))
         z = rng.uniform(-3.0, 3.0)
-        bad.extend(derivative_check(h0f, h1f, rng.choice(eps_samples), z))
+        eps = rng.choice(eps_samples)
+        bad.extend(derivative_check(h0f, h1f, eps, z))
 
         # angle-derivative signs for the sign-definite pair (H0, H_low)
         h_low = lower_matrix(h0f, h1f)
@@ -440,6 +441,12 @@ def homotopy_suite(
                 {
                     "instance": {"h0": _describe(h0), "h1": _describe(h1)},
                     "lambda": format_scalar(lam, True),
+                    "float_instance": {
+                        "h0": _describe(h0f, exact=False),
+                        "h1": _describe(h1f, exact=False),
+                        "z": z,
+                        "eps": eps,
+                    },
                     "checks": bad,
                 }
             )

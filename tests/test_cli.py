@@ -85,6 +85,21 @@ def test_count_exact_mode_inferred(capsys, one):
     assert doc["count"] == 0
 
 
+@pytest.mark.parametrize("lam, below", [("-1/2", 2), ("-1e-3", 2), ("-0.5", 2), ("-1", 1)])
+def test_count_negative_threshold_as_separate_token(capsys, free5, lam, below):
+    # F(5) has eigenvalues -2cos(k pi/5) = -1.618.., -0.618.., 0.618.., 1.618..
+    code, out, _ = run(capsys, "count", free5, "--lambda", lam)
+    assert code == 0
+    assert json.loads(out)["count"] == below
+
+
+def test_count_negative_rational_stays_exact(capsys, one):
+    code, out, _ = run(capsys, "count", one, "--lambda", "-1/2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "exact" and doc["lambda"] == "-1/2" and doc["count"] == 0
+
+
 def test_count_margin_guard_reports_null(capsys, one):
     # lambda within 1e-6 of the eigenvalue 1: the oracle abstains
     code, out, _ = run(capsys, "count", one, "--lambda", "1.0000001")
@@ -102,6 +117,15 @@ def test_relative_command(capsys, one, neg):
     assert doc["relative_count"] == 1
     assert doc["pairings_agree"] is True
     assert doc["oracle"] == 1 and doc["agree"] is True
+
+
+def test_relative_negative_thresholds_as_separate_tokens(capsys, one, neg):
+    # #{E < -1e-3 in {-1}} - #{E <= -1/2 in {1}} = 1
+    code, out, _ = run(
+        capsys, "relative", one, neg, "--lambda0", "-1/2", "--lambda1", "-1e-3"
+    )
+    assert code == 0
+    assert json.loads(out)["relative_count"] == 1
 
 
 def test_flow_command_json(capsys, one, neg):

@@ -16,6 +16,7 @@ from relosc.homotopy import (
     wronskian_eps_derivative,
 )
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
+from relosc import verify
 from relosc.verify import derivative_check, random_float_pair
 
 from test_jacobi import fractions_st, jacobi_st
@@ -170,3 +171,23 @@ def test_crossings_match_relative_count(h0, data):
     except MarginViolation:
         return  # rare near-degenerate draw; the randomized suites cover volume
     assert ok
+
+
+def test_homotopy_failure_report_names_the_float_instance(monkeypatch):
+    checked = []
+
+    def failing_check(h0f, h1f, eps, z):
+        checked.append((h0f, h1f, eps, z))
+        return ["forced failure"]
+
+    monkeypatch.setattr(verify, "derivative_check", failing_check)
+    report = verify.homotopy_suite(1, seed=5, max_dim=4)
+    (failure,) = report.failures
+    (h0f, h1f, eps, z) = checked[0]
+    assert failure["checks"][0] == "forced failure"
+    assert failure["float_instance"] == {
+        "h0": {"N": h0f.N, "a": list(h0f.a), "b": list(h0f.b)},
+        "h1": {"N": h1f.N, "a": list(h1f.a), "b": list(h1f.b)},
+        "z": z,
+        "eps": eps,
+    }

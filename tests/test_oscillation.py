@@ -9,6 +9,7 @@ from relosc.errors import (
     IndexOutOfRange,
 )
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
+from relosc.oracle import free_matrix_spectrum
 from relosc.oscillation import (
     count_below,
     count_nodes,
@@ -172,6 +173,38 @@ def test_relative_count_requires_shared_a():
     h1 = new_jacobi(3, [Fraction(-2)], [0, 0])
     with pytest.raises(CoefficientMismatch):
         relative_count(h0, h1, 0, 0)
+
+
+def shifted_free(N, shift):
+    """F(N) + shift, with spectrum shift - 2cos(k pi / N)."""
+    return JacobiMatrix(N, (-1,) * (N - 2), (shift,) * (N - 1))
+
+
+def closed_form_below(N, shift, lam, strict=True):
+    # the spectrum lies in (shift-2, shift+2) with spacing >= 2e-3 near
+    # shift -+ 1 for N <= 2001, so a closed-form value within 1e-9 of lam
+    # is lam itself (k = N/3 and 2N/3 hit 99 and 101 exactly)
+    eigs = [shift + e for e in free_matrix_spectrum(N)]
+    if strict:
+        return sum(1 for e in eigs if e < lam - 1e-9)
+    return sum(1 for e in eigs if e <= lam + 1e-9)
+
+
+@pytest.mark.parametrize("N", [201, 2001])
+def test_exact_count_below_beyond_float_range(N):
+    # exact solutions here outgrow binary64, so no sign may pass through float()
+    h = shifted_free(N, 100)
+    for lam in (0, 99, 101, 103):
+        assert count_below(h, lam) == closed_form_below(N, 100, lam)
+
+
+def test_exact_relative_count_beyond_float_range():
+    N = 201
+    h100, h99 = shifted_free(N, 100), shifted_free(N, 99)
+    for lam in (0, 99, 101, 103):
+        assert relative_count(h100, h99, lam, lam) == (
+            closed_form_below(N, 99, lam) - closed_form_below(N, 100, lam, strict=False)
+        )
 
 
 @settings(deadline=None)
