@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -24,9 +25,9 @@ from .errors import MarginViolation, ParseError, ReloscError
 from .jacobi import JacobiMatrix, to_exact_matrix, to_float_matrix
 from .homotopy import eigenvalue_branches
 from .numeric import format_scalar, parse_scalar
-from .oracle import count_below_oracle, eigenvalues_dense
+from .oracle import eigenvalues_dense
 from .oscillation import count_below, relative_count
-from .verify import SUITES, MARGIN
+from .verify import SUITES, oracle_count, oracle_relative_count
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -59,6 +60,8 @@ def parse_matrix(path: str):
         b = [parse_scalar(v) for v in doc["b"]]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not all(math.isfinite(v) for v in a + b if isinstance(v, float)):
+        raise ParseError(f"{path}: entries must be finite")
     return JacobiMatrix(doc["N"], tuple(a), tuple(b)), exact
 
 
@@ -68,9 +71,12 @@ def _parse_lambda(text: str):
             return Fraction(text), True
         if "." not in text and "e" not in text.lower():
             return int(text), True
-        return float(text), False
+        value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"bad scalar {text!r}: not finite")
+    return value, False
 
 
 def _join_negative_scalars(argv: list) -> list:
@@ -86,23 +92,36 @@ def _join_negative_scalars(argv: list) -> list:
     return out
 
 
-def _run_mode(requested: str, inferred_exact: bool) -> str:
-    if requested == "auto":
-        return "exact" if inferred_exact else "float"
-    return requested
-
-
-def _coerce(mode: str, h: JacobiMatrix) -> JacobiMatrix:
-    return to_exact_matrix(h) if mode == "exact" else to_float_matrix(h)
-
-
-def _coerce_scalar(mode: str, x):
-    return Fraction(x) if mode == "exact" else float(x)
+def _load(mode: str, files: list, lambdas: list):
+    """(mode, matrices, thresholds): files are parsed before thresholds, and
+    "auto" mode is exact when every input is exact."""
+    matrices = [parse_matrix(path) for path in files]
+    scalars = [_parse_lambda(text) for text in lambdas]
+    if mode == "auto":
+        mode = "exact" if all(exact for _, exact in matrices + scalars) else "float"
+    exact = mode == "exact"
+    return (
+        mode,
+        [to_exact_matrix(h) if exact else to_float_matrix(h) for h, _ in matrices],
+        [Fraction(x) if exact else float(x) for x, _ in scalars],
+    )
 
 
 def _emit(report: dict, summary: str) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     sys.stderr.write(summary + "\n")
+
+
+def _emit_checked(report: dict, count: int, oracle, summary: str) -> int:
+    """Emit report with the oracle's answer and whether it agrees with count,
+    both null when lambda is within the margin guard; returns the exit code."""
+    try:
+        report["oracle"] = oracle()
+    except MarginViolation:
+        report["oracle"] = None
+    report["agree"] = None if report["oracle"] is None else report["oracle"] == count
+    _emit(report, f"{summary}: {count} (oracle: {report['oracle']})")
+    return EXIT_OK if report["agree"] is not False else EXIT_DISAGREE
 
 
 def cmd_spectrum(args, mode_override: str) -> int:
@@ -121,32 +140,16 @@ def cmd_spectrum(args, mode_override: str) -> int:
 
 
 def cmd_count(args, mode_override: str) -> int:
-    h, exact_h = parse_matrix(args.file)
-    lam, exact_l = _parse_lambda(args.lam)
-    mode = _run_mode(mode_override, exact_h and exact_l)
-    h = _coerce(mode, h)
-    lam = _coerce_scalar(mode, lam)
+    mode, (h,), (lam,) = _load(mode_override, [args.file], [args.lam])
     count = count_below(h, lam)
     report = {"count": count, "lambda": format_scalar(lam, mode == "exact"), "mode": mode}
-    try:
-        oracle = count_below_oracle(eigenvalues_dense(h), float(lam), True, MARGIN)
-        report["oracle"] = oracle
-        report["agree"] = oracle == count
-    except MarginViolation:
-        report["oracle"] = None
-        report["agree"] = None
-    _emit(report, f"count below {args.lam}: {count} (oracle: {report['oracle']})")
-    return EXIT_OK if report["agree"] is not False else EXIT_DISAGREE
+    return _emit_checked(report, count, lambda: oracle_count(h, lam), f"count below {args.lam}")
 
 
 def cmd_relative(args, mode_override: str) -> int:
-    h0, e0 = parse_matrix(args.file0)
-    h1, e1 = parse_matrix(args.file1)
-    lam0, el0 = _parse_lambda(args.lam0)
-    lam1, el1 = _parse_lambda(args.lam1)
-    mode = _run_mode(mode_override, e0 and e1 and el0 and el1)
-    h0, h1 = _coerce(mode, h0), _coerce(mode, h1)
-    lam0, lam1 = _coerce_scalar(mode, lam0), _coerce_scalar(mode, lam1)
+    mode, (h0, h1), (lam0, lam1) = _load(
+        mode_override, [args.file0, args.file1], [args.lam0, args.lam1]
+    )
     count = relative_count(h0, h1, lam0, lam1)  # raises PairingDisagreement on breach
     report = {
         "relative_count": count,
@@ -155,16 +158,9 @@ def cmd_relative(args, mode_override: str) -> int:
         "lambda1": format_scalar(lam1, mode == "exact"),
         "mode": mode,
     }
-    try:
-        below1 = count_below_oracle(eigenvalues_dense(h1), float(lam1), True, MARGIN)
-        below_eq0 = count_below_oracle(eigenvalues_dense(h0), float(lam0), False, MARGIN)
-        report["oracle"] = below1 - below_eq0
-        report["agree"] = report["oracle"] == count
-    except MarginViolation:
-        report["oracle"] = None
-        report["agree"] = None
-    _emit(report, f"relative count: {count} (oracle: {report['oracle']})")
-    return EXIT_OK if report["agree"] is not False else EXIT_DISAGREE
+    return _emit_checked(
+        report, count, lambda: oracle_relative_count(h0, h1, lam0, lam1), "relative count"
+    )
 
 
 def cmd_flow(args, mode_override: str) -> int:
@@ -191,6 +187,10 @@ def cmd_flow(args, mode_override: str) -> int:
 
 
 def cmd_verify(args, mode_override: str) -> int:
+    if args.max_dim < 1:
+        raise ParseError("--max-dim must be >= 1")
+    if args.trials < 0:
+        raise ParseError("--trials must be >= 0")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     suites = {}
     ok = True

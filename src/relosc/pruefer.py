@@ -6,11 +6,12 @@ pinned down by the normalization chain
 
     ceil(theta(n)/pi) <= ceil(theta(n+1)/pi) <= ceil(theta(n)/pi) + 1.
 
-This module is float-only: angles serve as an independent cross-check of
-the exact sign-based counts in :mod:`relosc.oscillation`, never as the
-source of truth.  Whenever an angle sits within tolerance of a multiple of
-pi, the side is resolved from the sign of the underlying solution value;
-if that sign is itself unreliable, ``BranchAmbiguity`` is raised.
+Angles and radii are floats, also for exact sources: they serve as an
+independent cross-check of the exact sign-based counts in
+:mod:`relosc.oscillation`, never as the source of truth.  Whenever an angle
+sits within tolerance of a multiple of pi, the side is resolved from the
+sign of the underlying solution value; if that sign is itself unreliable,
+``BranchAmbiguity`` is raised.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchAmbiguity, DegenerateSolution, LengthMismatch
-from .numeric import classify
+from .numeric import classify, is_exact
 from .recurrence import SolutionSequence
 
 # How close theta/pi must be to an integer before the underlying sign data
@@ -99,28 +100,45 @@ def _base_angle(y: float, x: float) -> float:
     return t
 
 
+def _polar(x, y) -> tuple:
+    """(_base_angle(x, y), hypot(x, y)) of one pair of solution values.
+
+    An exact pair is divided by max(|x|, |y|) before it becomes float, so
+    its angle survives values beyond binary64; its radius is then math.inf.
+    """
+    if not (is_exact(x) and is_exact(y)):
+        x, y = float(x), float(y)
+        return _base_angle(x, y), math.hypot(x, y)
+    m = max(abs(x), abs(y))
+    xs, ys = float(x / m), float(y / m)
+    try:
+        scale = float(m)
+    except OverflowError:
+        scale = math.inf
+    return _base_angle(xs, ys), scale * math.hypot(xs, ys)
+
+
 def pruefer_sequence(u: SolutionSequence) -> PrueferSequence:
     """Normalized Prüfer angles of a solution.
 
     theta(0) is fixed in (-pi, pi] by atan2(u(0), u(1)); each later angle is
     the unique representative satisfying the normalization chain.
     """
-    fvals = [float(v) for v in u.values]
     signs, band = classify(u.values)
     for n in range(u.N + 1):
         if signs[n] == 0 and signs[n + 1] == 0:
             raise DegenerateSolution(f"u({n}) = u({n + 1}) = 0")
+    bases, rho = zip(*(_polar(u.values[n], u.values[n + 1]) for n in range(u.N + 1)))
 
-    theta = [_base_angle(fvals[0], fvals[1])]
+    theta = [bases[0]]
     ceil_prev = _resolve_ceil(theta[0], signs[0], band[0])
     for n in range(1, u.N + 1):
-        base = _base_angle(fvals[n], fvals[n + 1])
+        base = bases[n]
         k_base = _resolve_ceil(base, signs[n], band[n])
         # exactly one of {ceil_prev, ceil_prev+1} has the parity of k_base
         target = ceil_prev if (ceil_prev - k_base) % 2 == 0 else ceil_prev + 1
         theta.append(base + math.pi * (target - k_base))
         ceil_prev = target
-    rho = tuple(math.hypot(fvals[n], fvals[n + 1]) for n in range(u.N + 1))
     return PrueferSequence(tuple(theta), rho, u)
 
 

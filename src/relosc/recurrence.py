@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 from .errors import LengthMismatch
 from .jacobi import JacobiMatrix
@@ -111,11 +111,8 @@ class WronskianSequence:
         return len(self.values) - 1
 
 
-AProvider = Union[JacobiMatrix, Callable[[int], Number]]
-
-
 def wronskian_sequence(
-    a_provider: AProvider,
+    h: JacobiMatrix,
     u0: SolutionSequence,
     u1: SolutionSequence,
     b_diff: Sequence[Number],
@@ -126,9 +123,8 @@ def wronskian_sequence(
     N = u0.N
     if len(b_diff) != N:
         raise LengthMismatch(f"b_diff must have {N} entries (indices 1..N), got {len(b_diff)}")
-    a_of = a_provider.extended_a if isinstance(a_provider, JacobiMatrix) else a_provider
     w = tuple(
-        a_of(n) * (u0.values[n] * u1.values[n + 1] - u0.values[n + 1] * u1.values[n])
+        h.extended_a(n) * (u0.values[n] * u1.values[n + 1] - u0.values[n + 1] * u1.values[n])
         for n in range(N + 1)
     )
     return WronskianSequence(w, tuple(b_diff))

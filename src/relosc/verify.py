@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import BranchAmbiguity, DegenerateSolution, InconsistentSigns, MarginViolation
 from .jacobi import JacobiMatrix, interpolate, to_float_matrix
-from .numeric import format_scalar
+from .numeric import classify, format_scalar
 from .homotopy import (
     lower_matrix,
     pruefer_eps_derivative,
@@ -26,7 +26,7 @@ from .homotopy import (
     wronskian_eps_derivative,
 )
 from .oracle import count_below_oracle, eigenvalues_dense
-from .oscillation import count_below, count_nodes, is_eigenvalue, is_node, relative_count, weighted_node_count
+from .oscillation import _is_node, count_below, count_nodes, is_eigenvalue, relative_count, weighted_node_count
 from .pruefer import (
     ANGLE_TOL,
     delta_ceils,
@@ -40,6 +40,7 @@ from .recurrence import solve_minus, solve_plus, wronskian_pair
 
 MARGIN = 1e-6
 MAX_REDRAWS_PER_TRIAL = 500
+FD_STEP = 1e-6
 
 
 @dataclass
@@ -57,16 +58,7 @@ class VerifyReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "redraws": self.redraws,
-            "rejected": self.rejected,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _trial_rng(suite: str, seed: int, trial: int) -> random.Random:
@@ -106,35 +98,53 @@ def _describe(h: JacobiMatrix, exact: bool = True) -> dict:
     }
 
 
+def oracle_count(h: JacobiMatrix, lam) -> int:
+    """The oracle's #{E < lambda}; MarginViolation when lambda is within MARGIN."""
+    return count_below_oracle(eigenvalues_dense(h), float(lam), True, MARGIN)
+
+
+def oracle_relative_count(h0: JacobiMatrix, h1: JacobiMatrix, lam0, lam1) -> int:
+    """The oracle's value of relative_count, behind the same margin guard."""
+    below1 = oracle_count(h1, lam1)
+    return below1 - count_below_oracle(eigenvalues_dense(h0), float(lam0), False, MARGIN)
+
+
+def _draw(report: VerifyReport, draw):
+    """First instance draw() returns; a None result or a MarginViolation
+    counts one redraw in the report."""
+    for _ in range(MAX_REDRAWS_PER_TRIAL):
+        try:
+            instance = draw()
+        except MarginViolation:
+            instance = None
+        if instance is not None:
+            return instance
+        report.redraws += 1
+    raise RuntimeError("redraw budget exhausted")
+
+
+def _check(report: VerifyReport, expected, actual, instance: dict) -> None:
+    """Record a failure naming the instance when actual != expected."""
+    if actual != expected:
+        report.failures.append({**instance, "expected": expected, "actual": actual})
+
+
 def thm11_suite(
-    trials: int, seed: int, min_dim: int = 1, max_dim: int = 12, margin: float = MARGIN
+    trials: int, seed: int, min_dim: int = 1, max_dim: int = 12
 ) -> VerifyReport:
     """Node count of s_- vs the oracle's strict eigenvalue count."""
     report = VerifyReport("thm11", trials, seed, "exact")
     for trial in range(trials):
         rng = _trial_rng("thm11", seed, trial)
-        for _ in range(MAX_REDRAWS_PER_TRIAL):
+
+        def draw():
             h = random_jacobi(rng, rng.randint(min_dim, max_dim))
             lam = rand_fraction(rng)
-            spectrum = eigenvalues_dense(h)
-            try:
-                expected = count_below_oracle(spectrum, float(lam), True, margin)
-            except MarginViolation:
-                report.redraws += 1
-                continue
-            break
-        else:
-            raise RuntimeError("redraw budget exhausted")
-        actual = count_below(h, lam)
-        if actual != expected:
-            report.failures.append(
-                {
-                    "instance": _describe(h),
-                    "lambda": format_scalar(lam, True),
-                    "expected": expected,
-                    "actual": actual,
-                }
-            )
+            return h, lam, oracle_count(h, lam)
+
+        h, lam, expected = _draw(report, draw)
+        instance = {"instance": _describe(h), "lambda": format_scalar(lam, True)}
+        _check(report, expected, count_below(h, lam), instance)
     return report
 
 
@@ -142,20 +152,40 @@ def _forced_eigenvalue_matrix(rng: random.Random, dim: int, lam: Fraction):
     """Matrix with lam forced into the spectrum by solving for the last
     diagonal entry so that s_-(lam, N) = 0.  Returns None on a degenerate
     draw (u(N-1) = 0)."""
-    n_par = dim + 1
-    a = tuple(rand_negative_fraction(rng) for _ in range(max(n_par - 2, 0)))
-    b_head = [rand_fraction(rng) for _ in range(dim - 1)]
-
-    def a_of(n):
-        return a[n - 1] if 1 <= n <= n_par - 2 else Fraction(-1)
-
-    u = [Fraction(0), Fraction(1)]
-    for n in range(1, n_par - 1):
-        u.append(((lam - b_head[n - 1]) * u[n] - a_of(n - 1) * u[n - 1]) / a_of(n))
-    if u[n_par - 1] == 0:
+    N = dim + 1
+    a = tuple(rand_negative_fraction(rng) for _ in range(max(N - 2, 0)))
+    b_head = tuple(rand_fraction(rng) for _ in range(dim - 1))
+    # u(N-2) and u(N-1) do not depend on the last diagonal entry b(N-1)
+    h = JacobiMatrix(N, a, b_head + (0,))
+    u = solve_minus(h, lam).values
+    if u[N - 1] == 0:
         return None
-    b_last = lam - a_of(n_par - 2) * u[n_par - 2] / u[n_par - 1]
-    return JacobiMatrix(n_par, a, tuple(b_head) + (b_last,))
+    return JacobiMatrix(N, a, b_head + (lam - h.extended_a(N - 2) * u[N - 2] / u[N - 1],))
+
+
+def _draw_pair(rng: random.Random, min_dim: int, max_dim: int):
+    h0, h1 = random_pair(rng, rng.randint(min_dim, max_dim))
+    lam0, lam1 = rand_fraction(rng), rand_fraction(rng)
+    return h0, h1, lam0, lam1, oracle_relative_count(h0, h1, lam0, lam1)
+
+
+def _draw_forced_pair(rng: random.Random, min_dim: int, max_dim: int):
+    """A pair whose H0 has lambda0 as an eigenvalue, or None on a degenerate
+    draw or when another eigenvalue of H0 sits in the margin band."""
+    dim = rng.randint(min_dim, max_dim)
+    lam0 = rand_fraction(rng)
+    h0 = _forced_eigenvalue_matrix(rng, dim, lam0)
+    if h0 is None:
+        return None
+    b1 = tuple(rand_fraction(rng) for _ in range(dim))
+    h1 = JacobiMatrix(h0.N, h0.a, b1)
+    lam1 = rand_fraction(rng)
+    eig0 = eigenvalues_dense(h0).eigenvalues
+    # exactly the forced eigenvalue may sit inside the margin band
+    if sum(1 for e in eig0 if abs(e - float(lam0)) < MARGIN) != 1:
+        return None
+    below_eq0 = sum(1 for e in eig0 if e <= float(lam0) - MARGIN) + 1
+    return h0, h1, lam0, lam1, oracle_count(h1, lam1) - below_eq0
 
 
 def thm12_suite(
@@ -164,85 +194,31 @@ def thm12_suite(
     eigen_trials: int = 0,
     min_dim: int = 1,
     max_dim: int = 12,
-    margin: float = MARGIN,
 ) -> VerifyReport:
     """Relative count (both pairings) vs the oracle difference
-    #{E < lambda1 in sigma(H1)} - #{E <= lambda0 in sigma(H0)}."""
+    #{E < lambda1 in sigma(H1)} - #{E <= lambda0 in sigma(H0)}.  The
+    thm12-eigen trials exercise the <= side with lambda0 exactly an
+    eigenvalue of H0."""
     report = VerifyReport("thm12", trials + eigen_trials, seed, "exact")
-
-    for trial in range(trials):
-        rng = _trial_rng("thm12", seed, trial)
-        for _ in range(MAX_REDRAWS_PER_TRIAL):
-            h0, h1 = random_pair(rng, rng.randint(min_dim, max_dim))
-            lam0, lam1 = rand_fraction(rng), rand_fraction(rng)
-            try:
-                below1 = count_below_oracle(eigenvalues_dense(h1), float(lam1), True, margin)
-                below_eq0 = count_below_oracle(eigenvalues_dense(h0), float(lam0), False, margin)
-            except MarginViolation:
-                report.redraws += 1
-                continue
-            break
-        else:
-            raise RuntimeError("redraw budget exhausted")
-        expected = below1 - below_eq0
-        actual = relative_count(h0, h1, lam0, lam1)
-        if actual != expected:
-            report.failures.append(
-                {
-                    "instance": {"h0": _describe(h0), "h1": _describe(h1)},
-                    "lambda0": format_scalar(lam0, True),
-                    "lambda1": format_scalar(lam1, True),
-                    "expected": expected,
-                    "actual": actual,
-                }
+    for suite, n_trials, draw_pair in (
+        ("thm12", trials, _draw_pair),
+        ("thm12-eigen", eigen_trials, _draw_forced_pair),
+    ):
+        for trial in range(n_trials):
+            rng = _trial_rng(suite, seed, trial)
+            h0, h1, lam0, lam1, expected = _draw(
+                report, lambda: draw_pair(rng, min_dim, max_dim)
             )
-
-    # the <= side of the theorem, exercised with lambda0 exactly an eigenvalue
-    for trial in range(eigen_trials):
-        rng = _trial_rng("thm12-eigen", seed, trial)
-        for _ in range(MAX_REDRAWS_PER_TRIAL):
-            dim = rng.randint(min_dim, max_dim)
-            lam0 = rand_fraction(rng)
-            h0 = _forced_eigenvalue_matrix(rng, dim, lam0)
-            if h0 is None:
-                report.redraws += 1
+            if suite == "thm12-eigen" and not is_eigenvalue(h0, lam0):
+                instance = {"instance": _describe(h0), "lambda0": format_scalar(lam0, True)}
+                _check(report, "is_eigenvalue", False, instance)
                 continue
-            b1 = tuple(rand_fraction(rng) for _ in range(dim))
-            h1 = JacobiMatrix(h0.N, h0.a, b1)
-            lam1 = rand_fraction(rng)
-            eig0 = eigenvalues_dense(h0).eigenvalues
-            # exactly the forced eigenvalue may sit inside the margin band
-            in_band = [e for e in eig0 if abs(e - float(lam0)) < margin]
-            if len(in_band) != 1:
-                report.redraws += 1
-                continue
-            try:
-                below1 = count_below_oracle(eigenvalues_dense(h1), float(lam1), True, margin)
-            except MarginViolation:
-                report.redraws += 1
-                continue
-            break
-        else:
-            raise RuntimeError("redraw budget exhausted")
-        if not is_eigenvalue(h0, lam0):
-            report.failures.append(
-                {"instance": _describe(h0), "lambda0": format_scalar(lam0, True),
-                 "expected": "is_eigenvalue", "actual": False}
-            )
-            continue
-        below_eq0 = sum(1 for e in eig0 if e <= float(lam0) - margin) + 1
-        expected = below1 - below_eq0
-        actual = relative_count(h0, h1, lam0, lam1)
-        if actual != expected:
-            report.failures.append(
-                {
-                    "instance": {"h0": _describe(h0), "h1": _describe(h1)},
-                    "lambda0": format_scalar(lam0, True),
-                    "lambda1": format_scalar(lam1, True),
-                    "expected": expected,
-                    "actual": actual,
-                }
-            )
+            instance = {
+                "instance": {"h0": _describe(h0), "h1": _describe(h1)},
+                "lambda0": format_scalar(lam0, True),
+                "lambda1": format_scalar(lam1, True),
+            }
+            _check(report, expected, relative_count(h0, h1, lam0, lam1), instance)
     return report
 
 
@@ -270,6 +246,8 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
     n_par = h0.N
 
     bad = []
+    signs = classify(u0e.values)[0]
+    nodes = [_is_node(signs, n) for n in range(n_par + 1)]
 
     # normalization chain and node-driven ceiling jumps
     ceils = theta_ceils(p0)
@@ -277,16 +255,16 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
         step = ceils[n + 1] - ceils[n]
         if step not in (0, 1):
             bad.append(f"normalization chain broken at {n}: step {step}")
-        elif step != (1 if is_node(u0e, n) else 0):
+        elif step != nodes[n]:
             bad.append(f"ceiling jump disagrees with node at {n}")
 
     # gamma in (pi/2, pi] must classify nodes
     for n in range(n_par + 1):
         gamma = p0.theta[n] - (ceils[n] - 1) * math.pi
-        claim = _gamma_node_claim(gamma, u0e.values[n + 1] == 0)
+        claim = _gamma_node_claim(gamma, signs[n + 1] == 0)
         if claim is None:
             raise BranchAmbiguity(f"gamma at {n} on the pi/2 boundary")
-        if claim != is_node(u0e, n):
+        if claim != nodes[n]:
             bad.append(f"gamma classification wrong at {n}: gamma={gamma}")
 
     # angle-based node count vs exact count
@@ -352,20 +330,20 @@ def pruefer_suite(
     return report
 
 
-def random_float_jacobi(rng: random.Random, dim: int, coeff: float = 3.0) -> JacobiMatrix:
+def random_float_jacobi(rng: random.Random, dim: int) -> JacobiMatrix:
     n = dim + 1
-    a = tuple(rng.uniform(-coeff, -0.1) for _ in range(max(n - 2, 0)))
-    b = tuple(rng.uniform(-coeff, coeff) for _ in range(n - 1))
+    a = tuple(rng.uniform(-3.0, -0.1) for _ in range(max(n - 2, 0)))
+    b = tuple(rng.uniform(-3.0, 3.0) for _ in range(n - 1))
     return JacobiMatrix(n, a, b)
 
 
-def random_float_pair(rng: random.Random, dim: int, coeff: float = 3.0):
-    h0 = random_float_jacobi(rng, dim, coeff)
-    b1 = tuple(rng.uniform(-coeff, coeff) for _ in range(dim))
+def random_float_pair(rng: random.Random, dim: int):
+    h0 = random_float_jacobi(rng, dim)
+    b1 = tuple(rng.uniform(-3.0, 3.0) for _ in range(dim))
     return h0, JacobiMatrix(h0.N, h0.a, b1)
 
 
-def fd_wronskian_derivative(h0, h1, eps, z, side, n, h=1e-6):
+def fd_wronskian_derivative(h0, h1, eps, z, side, n):
     """Central finite-difference oracle for the closed-sum derivative."""
     solve = solve_plus if side == "plus" else solve_minus
 
@@ -373,7 +351,7 @@ def fd_wronskian_derivative(h0, h1, eps, z, side, n, h=1e-6):
         return solve(interpolate(h0, h1, e), z).values
 
     u = at(eps)
-    du = [(p - m) / (2 * h) for p, m in zip(at(eps + h), at(eps - h))]
+    du = [(p - m) / (2 * FD_STEP) for p, m in zip(at(eps + FD_STEP), at(eps - FD_STEP))]
     return h0.extended_a(n) * (u[n] * du[n + 1] - u[n + 1] * du[n])
 
 
@@ -394,7 +372,7 @@ def derivative_check(h0, h1, eps, z, rel_tol=1e-6, abs_floor=1e-9):
 
 
 def homotopy_suite(
-    trials: int, seed: int, min_dim: int = 1, max_dim: int = 10, margin: float = MARGIN
+    trials: int, seed: int, min_dim: int = 1, max_dim: int = 10
 ) -> VerifyReport:
     """Spectral-flow crossing counts, the derivative formula, and the sign
     conditions on the angle derivative for sign-definite perturbations."""
@@ -405,17 +383,12 @@ def homotopy_suite(
         bad = []
 
         # crossing count along the two-phase path vs the relative count
-        for _ in range(MAX_REDRAWS_PER_TRIAL):
+        def draw():
             h0, h1 = random_pair(rng, rng.randint(min_dim, max_dim))
             lam = rand_fraction(rng)
-            try:
-                crossings = signed_crossing_count(h0, h1, float(lam), margin)
-            except MarginViolation:
-                report.redraws += 1
-                continue
-            break
-        else:
-            raise RuntimeError("redraw budget exhausted")
+            return h0, h1, lam, signed_crossing_count(h0, h1, float(lam), MARGIN)
+
+        h0, h1, lam, crossings = _draw(report, draw)
         rel = relative_count(h0, h1, lam, lam)
         if crossings != rel:
             bad.append(f"crossings {crossings} vs relative count {rel}")

@@ -60,6 +60,14 @@ def test_parse_matrix_errors(tmp_path):
         parse_matrix(str(bad))
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_parse_matrix_rejects_non_finite(tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"N": 3, "a": [-1], "b": [%s, 1]}' % entry)
+    with pytest.raises(ParseError):
+        parse_matrix(str(bad))
+
+
 def test_spectrum_command(capsys, free5):
     code, out, err = run(capsys, "spectrum", free5)
     assert code == 0
@@ -149,6 +157,24 @@ def test_invalid_matrix_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "count", bad, "--lambda", "0")
     assert code == 2
     assert "relosc:" in err
+
+
+def test_non_finite_inputs_exit_2(capsys, tmp_path, free5):
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"N": 3, "a": [-1], "b": [NaN, 1]}')
+    code, out, err = run(capsys, "count", str(nan), "--lambda", "0")
+    assert code == 2 and out == "" and "finite" in err
+    for lam in ("1e999", "-1e999"):
+        code, out, err = run(capsys, "count", free5, "--lambda", lam)
+        assert code == 2 and out == "" and "finite" in err
+    code, out, _ = run(capsys, "relative", free5, free5, "--lambda0", "0", "--lambda1", "1e999")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [("--max-dim", "0"), ("--max-dim", "-3"), ("--trials", "-5")])
+def test_verify_out_of_range_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, "verify", "--suite", "thm11", *argv)
+    assert code == 2 and out == "" and "relosc:" in err
 
 
 def test_bad_usage_exits_2(capsys):

@@ -19,6 +19,7 @@ from relosc.pruefer import (
 from relosc.recurrence import SolutionSequence, solve_minus, solve_plus, wronskian_pair
 
 from test_jacobi import fractions_st, jacobi_st
+from test_oscillation import closed_form_below, shifted_free
 
 PI = math.pi
 
@@ -60,6 +61,17 @@ def test_rho_reconstructs_solution():
         assert p.rho[n] > 0
         assert p.rho[n] * math.sin(p.theta[n]) == pytest.approx(u.values[n], abs=1e-12)
         assert p.rho[n] * math.cos(p.theta[n]) == pytest.approx(u.values[n + 1], abs=1e-12)
+
+
+@pytest.mark.parametrize("N", [201, 2001])
+def test_exact_angles_beyond_float_range(N):
+    # exact solutions here outgrow binary64, so no value may pass through float()
+    h = shifted_free(N, 100)
+    for lam in (0, 99, 101, 103):
+        u = solve_minus(h, lam)
+        p = pruefer_sequence(u)
+        assert all(r > 0 for r in p.rho)
+        assert node_count_via_angles(p) == count_nodes(u, 0, N) == closed_form_below(N, 100, lam)
 
 
 def test_degenerate_solution_rejected():
