@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -41,17 +40,18 @@ def parse_matrix(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an int past the digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
-    for key in ("N", "a", "b"):
+    for key, kind in (("N", int), ("a", list), ("b", list)):
         if key not in doc:
             raise ParseError(f"{path}: missing field {key!r}")
-    if not isinstance(doc["N"], int):
-        raise ParseError(f"{path}: field 'N' must be an integer")
+        if not isinstance(doc[key], kind):
+            name = "an integer" if kind is int else "an array"
+            raise ParseError(f"{path}: field {key!r} must be {name}")
     exact = any(
         isinstance(v, str) for field in ("a", "b") for v in doc[field]
     )
@@ -60,23 +60,17 @@ def parse_matrix(path: str):
         b = [parse_scalar(v) for v in doc["b"]]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not all(math.isfinite(v) for v in a + b if isinstance(v, float)):
-        raise ParseError(f"{path}: entries must be finite")
     return JacobiMatrix(doc["N"], tuple(a), tuple(b)), exact
 
 
 def _parse_lambda(text: str):
+    """(value, exact): a threshold written "p" or "p/q" is exact, any other
+    is float(text), so that a float threshold keeps its bits."""
+    exact = "." not in text and "e" not in text.lower()
     try:
-        if "/" in text:
-            return Fraction(text), True
-        if "." not in text and "e" not in text.lower():
-            return int(text), True
-        value = float(text)
+        return parse_scalar(text if exact else float(text)), exact
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad scalar {text!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"bad scalar {text!r}: not finite")
-    return value, False
 
 
 def _join_negative_scalars(argv: list) -> list:

@@ -20,7 +20,6 @@ from .jacobi import JacobiMatrix, interpolate, require_compatible
 from .numeric import Number
 from .oracle import eigenvalues_dense
 from .recurrence import solve_minus, solve_plus
-from .oscillation import relative_count
 
 
 @dataclass(frozen=True)
@@ -150,13 +149,3 @@ def signed_crossing_count(
     down = sum(1 for s, e in zip(eig0, eig_low) if s > lam > e)
     up = sum(1 for s, e in zip(eig_low, eig1) if s < lam < e)
     return down - up
-
-
-def crossing_count_matches_relative(
-    h0: JacobiMatrix, h1: JacobiMatrix, lam, margin: float = 1e-6
-) -> bool:
-    """Spectral-flow consistency check for lambda away from the spectra of
-    the path endpoints (margin-guarded)."""
-    return signed_crossing_count(h0, h1, float(lam), margin) == relative_count(
-        h0, h1, lam, lam
-    )

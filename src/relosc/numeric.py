@@ -12,6 +12,7 @@ tolerance band, which callers report or refuse to resolve.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -48,14 +49,17 @@ def classify(values: Iterable[Number]) -> tuple:
 
 def parse_scalar(value) -> Number:
     """Parse a JSON/CLI scalar: int and float pass through, strings are
-    exact rationals of the form "p" or "p/q"."""
-    if isinstance(value, bool):
+    exact rationals ("p", "p/q" or a decimal).  The value must be finite
+    in binary64, because every command also runs the float oracle."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"not a scalar: {value!r}")
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise ValueError(f"not a scalar: {value!r}")
+    x = Fraction(value.strip()) if isinstance(value, str) else value
+    try:
+        if math.isfinite(x):
+            return x
+    except OverflowError:  # an int or Fraction beyond binary64
+        pass
+    raise ValueError(f"{value!r} is not finite in binary64")
 
 
 def format_scalar(x: Number, exact: bool):

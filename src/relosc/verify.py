@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import BranchAmbiguity, DegenerateSolution, InconsistentSigns, MarginViolation
-from .jacobi import JacobiMatrix, interpolate, to_float_matrix
+from .jacobi import JacobiMatrix, interpolate, to_exact_matrix, to_float_matrix
 from .numeric import classify, format_scalar
 from .homotopy import (
     lower_matrix,
@@ -26,7 +26,7 @@ from .homotopy import (
     wronskian_eps_derivative,
 )
 from .oracle import count_below_oracle, eigenvalues_dense
-from .oscillation import _is_node, count_below, count_nodes, is_eigenvalue, relative_count, weighted_node_count
+from .oscillation import _is_node, count_below, count_nodes, is_eigenvalue, relative_count, weighted_node_report
 from .pruefer import (
     ANGLE_TOL,
     delta_ceils,
@@ -40,7 +40,7 @@ from .recurrence import solve_minus, solve_plus, wronskian_pair
 
 MARGIN = 1e-6
 MAX_REDRAWS_PER_TRIAL = 500
-FD_STEP = 1e-6
+FD_STEP = Fraction(1, 10**6)
 
 
 @dataclass
@@ -277,10 +277,10 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
     w = wronskian_pair(h0, h1, u0e, u1e)
     d = relative_angle_sequence(p0, p1)
     dcs = delta_ceils(d)
-    exact_weighted = weighted_node_count(w)
+    exact = weighted_node_report(w)
     angle_weighted = weighted_count_via_angles(d)
-    if angle_weighted != exact_weighted:
-        bad.append(f"weighted count: angles {angle_weighted} vs exact {exact_weighted}")
+    if angle_weighted != exact.count:
+        bad.append(f"weighted count: angles {angle_weighted} vs exact {exact.count}")
 
     for n in range(n_par):
         bd = w.b_diff[n]  # diagonal difference of the shifted operators
@@ -290,16 +290,8 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
             bad.append(f"ceiling step bound (>=) violated at {n}: jump {jump}")
         if bd <= 0 and jump not in (-1, 0):
             bad.append(f"ceiling step bound (<=) violated at {n}: jump {jump}")
-        # full case table for the ceiling step, decided on exact signs
-        w_n, w_n1 = w.values[n], w.values[n + 1]
-        if (w_n == 0 and w_n1 == 0) or w_n * w_n1 > 0:
-            want = 0
-        elif w_n * w_n1 < 0:
-            want = 1 if bd > 0 else -1
-        elif w_n == 0:
-            want = 1 if bd > 0 else 0
-        else:
-            want = 0 if bd > 0 else -1
+        # the ceiling step is the exact weighted node indicator
+        want = exact.details[n]
         if jump != want:
             bad.append(f"ceiling step case table violated at {n}: jump {jump}, expected {want}")
 
@@ -343,30 +335,27 @@ def random_float_pair(rng: random.Random, dim: int):
     return h0, JacobiMatrix(h0.N, h0.a, b1)
 
 
-def fd_wronskian_derivative(h0, h1, eps, z, side, n):
-    """Central finite-difference oracle for the closed-sum derivative."""
-    solve = solve_plus if side == "plus" else solve_minus
-
-    def at(e):
-        return solve(interpolate(h0, h1, e), z).values
-
-    u = at(eps)
-    du = [(p - m) / (2 * FD_STEP) for p, m in zip(at(eps + FD_STEP), at(eps - FD_STEP))]
-    return h0.extended_a(n) * (u[n] * du[n + 1] - u[n + 1] * du[n])
-
-
 def derivative_check(h0, h1, eps, z, rel_tol=1e-6, abs_floor=1e-9):
-    """Closed-sum Wronskian derivative vs finite differences at every n and
-    both sides; returns a list of violation descriptions."""
+    """Closed-sum Wronskian derivative vs a central finite difference at
+    every n and both sides; returns a list of violation descriptions.  The
+    difference is evaluated exactly on the exact images of the inputs: in
+    float arithmetic its own rounding error can exceed rel_tol."""
     bad = []
+    h0e, h1e, eps_e, z_e = to_exact_matrix(h0), to_exact_matrix(h1), Fraction(eps), Fraction(z)
     for side in ("plus", "minus"):
+        solve = solve_plus if side == "plus" else solve_minus
+        u, up, um = (
+            solve(interpolate(h0e, h1e, e), z_e).values
+            for e in (eps_e, eps_e + FD_STEP, eps_e - FD_STEP)
+        )
+        du = [(p - m) / (2 * FD_STEP) for p, m in zip(up, um)]
         for n in range(h0.N + 1):
-            exact = wronskian_eps_derivative(h0, h1, eps, z, side, n)
-            approx = fd_wronskian_derivative(h0, h1, eps, z, side, n)
-            tol = max(abs_floor, rel_tol * max(abs(exact), abs(approx)))
-            if abs(exact - approx) > tol:
+            closed = wronskian_eps_derivative(h0, h1, eps, z, side, n)
+            approx = float(h0e.extended_a(n) * (u[n] * du[n + 1] - u[n + 1] * du[n]))
+            tol = max(abs_floor, rel_tol * max(abs(closed), abs(approx)))
+            if abs(closed - approx) > tol:
                 bad.append(
-                    f"side={side} n={n} eps={eps}: closed {exact} vs fd {approx}"
+                    f"side={side} n={n} eps={eps}: closed {closed} vs fd {approx}"
                 )
     return bad
 

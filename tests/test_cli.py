@@ -206,3 +206,48 @@ def test_verify_command_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["ok"] is True
     assert doc["suites"]["thm11"]["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"N": 3, "a": 5, "b": [0, 0]}, {"N": 3, "a": None, "b": [0, 0]}, {"N": 3, "a": [-1], "b": "00"}],
+    ids=["a-number", "a-null", "b-string"],
+)
+def test_matrix_fields_must_be_arrays(capsys, tmp_path, doc):
+    code, out, err = run(capsys, "count", write(tmp_path, "m.json", doc), "--lambda", "0")
+    assert code == 2 and out == "" and "relosc:" in err
+
+
+BIG = "1" + "0" * 400  # an integer beyond binary64
+BIG_FILES = {
+    "string": '{"N": 3, "a": ["-1"], "b": ["%s", "0"]}' % BIG,
+    "integer": '{"N": 3, "a": [-1], "b": [%s, 0]}' % BIG,
+    "digit-limit": '{"N": 3, "a": [-1], "b": [%s, 0]}' % ("1" * 5000),
+    "float": '{"N": 3, "a": [-1], "b": [0.5, 0]}',
+}
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("string", ("count", "F", "--lambda", "0")),
+        ("string", ("spectrum", "F")),
+        ("string", ("relative", "F", "F", "--lambda0", "0", "--lambda1", "0")),
+        ("integer", ("count", "F", "--lambda", "0")),
+        ("digit-limit", ("count", "F", "--lambda", "0")),
+        ("float", ("count", "F", "--lambda", BIG)),
+    ],
+    ids=["count", "spectrum", "relative", "json-integer", "json-digit-limit", "lambda"],
+)
+def test_inputs_beyond_binary64_exit_2(capsys, tmp_path, kind, argv):
+    path = tmp_path / "big.json"
+    path.write_text(BIG_FILES[kind])
+    code, out, err = run(capsys, *(str(path) if arg == "F" else arg for arg in argv))
+    assert code == 2 and out == "" and "relosc:" in err
+
+
+def test_matrix_file_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"N": 2, "a": [], "b": [1]}\xff')
+    code, out, err = run(capsys, "count", str(path), "--lambda", "0")
+    assert code == 2 and out == "" and "relosc:" in err

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from relosc.errors import CoefficientMismatch, EpsOutOfRange, IndexOutOfRange
 from relosc.homotopy import (
-    crossing_count_matches_relative,
     eigenvalue_branches,
     lower_matrix,
     pruefer_eps_derivative,
@@ -16,6 +15,7 @@ from relosc.homotopy import (
     wronskian_eps_derivative,
 )
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
+from relosc.oscillation import relative_count
 from relosc import verify
 from relosc.verify import derivative_check, random_float_pair
 
@@ -167,10 +167,10 @@ def test_crossings_match_relative_count(h0, data):
     from relosc.errors import MarginViolation
 
     try:
-        ok = crossing_count_matches_relative(h0, h1, lam)
+        crossings = signed_crossing_count(h0, h1, float(lam), verify.MARGIN)
     except MarginViolation:
         return  # rare near-degenerate draw; the randomized suites cover volume
-    assert ok
+    assert crossings == relative_count(h0, h1, lam, lam)
 
 
 def test_homotopy_failure_report_names_the_float_instance(monkeypatch):
@@ -191,3 +191,25 @@ def test_homotopy_failure_report_names_the_float_instance(monkeypatch):
         "z": z,
         "eps": eps,
     }
+
+
+def test_derivative_check_reference_has_no_rounding_error():
+    # the float finite difference is off by 1.1e-6 (relative) at n=9 on the
+    # minus side; the same difference taken exactly is off by 1.6e-8
+    a = (-1.4789342669105952, -1.664098858128995, -1.1519676036435693, -0.43422605187492547,
+         -2.4613591536117223, -2.242470822164123, -2.2653756007029573)
+    b0 = (1.3592581793529632, 0.41255365149954626, -2.3273592379807138, -0.5172769858554136,
+          -0.24295806026392786, -1.9490852968983956, 1.8036349221784693, -1.1087123408040265)
+    b1 = (-1.5513453516703188, 0.4108977449776843, 1.0810265114270674, -1.526178105735288,
+          -1.898540847680672, 1.0380119880048637, -2.297829143335301, -1.2450949115431782)
+    h0, h1 = JacobiMatrix(9, a, b0), JacobiMatrix(9, a, b1)
+    assert derivative_check(h0, h1, 0.25, 2.292024374001974) == []
+
+
+def test_derivative_check_flags_a_wrong_closed_form(monkeypatch):
+    closed = verify.wronskian_eps_derivative
+    monkeypatch.setattr(
+        verify, "wronskian_eps_derivative", lambda *args: closed(*args) * (1 + 1e-5)
+    )
+    h0, h1 = random_float_pair(random.Random(3), 4)
+    assert derivative_check(h0, h1, 0.5, 0.7) != []

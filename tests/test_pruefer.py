@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relosc import verify
 from relosc.errors import DegenerateSolution, LengthMismatch
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi, to_float_matrix
 from relosc.oscillation import count_nodes, is_node, weighted_node_count
@@ -139,3 +140,15 @@ def test_weighted_count_agreement(h0, data):
     dcs = delta_ceils(d)
     for n in range(d.N):
         assert abs(dcs[n + 1] - dcs[n]) <= 1
+
+
+def test_pruefer_suite_catches_a_wrong_ceiling_step(monkeypatch):
+    def off_by_one(d):
+        ceils = list(delta_ceils(d))
+        ceils[-1] += 1  # the last Delta-ceiling step is one too large
+        return ceils
+
+    monkeypatch.setattr(verify, "delta_ceils", off_by_one)
+    report = verify.pruefer_suite(5, seed=1, max_dim=6)
+    checks = [c for failure in report.failures for c in failure["checks"]]
+    assert any("case table" in c for c in checks)
