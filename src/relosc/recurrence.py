@@ -29,33 +29,27 @@ class SolutionSequence:
     """Values u(0..N+1) of a solution at spectral parameter z."""
 
     z: Number
-    side: str  # "minus" | "plus" | "custom"
+    side: str  # "minus" | "plus"
     values: tuple
     N: int
     scale_log: float = 0.0  # log of the accumulated positive rescaling
 
 
-def _coeffs(h: JacobiMatrix, z: Number):
-    """Extended coefficients, promoted to Fraction when everything is exact
-    so that division stays in the rational field."""
-    if h.exact and is_exact(z):
-        a = [Fraction(h.extended_a(n)) for n in range(h.N + 1)]
-        b = [Fraction(h.extended_b(n)) for n in range(1, h.N + 1)]
-        z = Fraction(z)
-    else:
-        a = [float(h.extended_a(n)) for n in range(h.N + 1)]
-        b = [float(h.extended_b(n)) for n in range(1, h.N + 1)]
-        z = float(z)
-    return a, b, z
-
-
-def solve_minus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> SolutionSequence:
-    """Forward solution with u(0)=0, u(1)=1."""
-    a, b, z = _coeffs(h, z)
+def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> SolutionSequence:
+    """The one three-term loop behind both solutions.  Coefficients are
+    promoted to Fraction when everything is exact, so that division stays
+    in the rational field.  The plus side runs the loop on the reversed
+    coefficients from u(N+1)=1, u(N)=0 and reverses the result."""
+    num = Fraction if h.exact and is_exact(z) else float
+    a = [num(h.extended_a(n)) for n in range(h.N + 1)]
+    b = [num(h.extended_b(n)) for n in range(1, h.N + 1)]
+    z = num(z)
     u = [0 * z, 1 + 0 * z]
+    if side == "plus":
+        a, b, u = a[::-1], b[::-1], u[::-1]
     scale_log = 0.0
     for n in range(1, h.N + 1):
-        # b is indexed from 1: b[n-1] = b(n); a[n] = a(n)
+        # on the minus side b[n-1] = b(n) and a[n] = a(n)
         nxt = ((z - b[n - 1]) * u[n] - a[n - 1] * u[n - 1]) / a[n]
         u.append(nxt)
         if renormalize and not is_exact(nxt):
@@ -64,24 +58,19 @@ def solve_minus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> Soluti
                 u[n] /= m
                 u[n + 1] /= m
                 scale_log += math.log(m)
-    return SolutionSequence(z, "minus", tuple(u), h.N, scale_log)
+    if side == "plus":
+        u.reverse()
+    return SolutionSequence(z, side, tuple(u), h.N, scale_log)
+
+
+def solve_minus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> SolutionSequence:
+    """Forward solution with u(0)=0, u(1)=1."""
+    return _solve(h, z, "minus", renormalize)
 
 
 def solve_plus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> SolutionSequence:
     """Backward solution with u(N)=0, u(N+1)=1."""
-    a, b, z = _coeffs(h, z)
-    u = [0 * z] * h.N + [0 * z, 1 + 0 * z]
-    scale_log = 0.0
-    for n in range(h.N, 0, -1):
-        prv = ((z - b[n - 1]) * u[n] - a[n] * u[n + 1]) / a[n - 1]
-        u[n - 1] = prv
-        if renormalize and not is_exact(prv):
-            m = max(abs(u[n]), abs(prv))
-            if m > RENORM_THRESHOLD:
-                u[n] /= m
-                u[n - 1] /= m
-                scale_log += math.log(m)
-    return SolutionSequence(z, "plus", tuple(u), h.N, scale_log)
+    return _solve(h, z, "plus", renormalize)
 
 
 def residuals(h: JacobiMatrix, u: SolutionSequence) -> list:
