@@ -56,6 +56,11 @@ class NoConvergence(ReloscError):
     """The rotation eigensolver failed to converge within the sweep cap."""
 
 
+class NonFiniteValue(ReloscError, ValueError):
+    """A float matrix entry or spectral parameter is NaN or infinite, or an
+    exact spectral parameter is beyond binary64 in float mode."""
+
+
 class ParseError(ReloscError):
     """A matrix file could not be parsed."""
 

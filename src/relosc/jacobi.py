@@ -8,6 +8,7 @@ a(0) = a(N-1) = a(N) = -1, b(N) = 0 is exposed through ``extended_a`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,6 +17,7 @@ from .errors import (
     CoefficientMismatch,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteValue,
     NonNegativeOffDiagonal,
 )
 from .numeric import Number, is_exact
@@ -42,6 +44,11 @@ class JacobiMatrix:
             raise DimensionMismatch(
                 f"expected {self.N - 1} diagonal entries, got {len(self.b)}"
             )
+        for name, xs in (("a", self.a), ("b", self.b)):
+            for j, x in enumerate(xs, start=1):
+                # exact entries are skipped: isfinite overflows on a huge Fraction
+                if not is_exact(x) and not math.isfinite(x):
+                    raise NonFiniteValue(f"{name}({j}) = {x!r} is not finite")
         for j, aj in enumerate(self.a, start=1):
             if not aj < 0:
                 raise NonNegativeOffDiagonal(f"a({j}) = {aj!r} must be negative")

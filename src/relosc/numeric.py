@@ -13,6 +13,7 @@ tolerance band, which callers report or refuse to resolve.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,6 +21,11 @@ Number = Union[int, Fraction, float]
 
 TAU_ABS = 1e-300
 TAU_REL = 1e-12
+
+# Fraction builds 10**exp from a decimal exponent before any range check
+# can run, so exponents beyond this magnitude are refused unparsed.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def is_exact(x: Number) -> bool:
@@ -50,9 +56,13 @@ def classify(values: Iterable[Number]) -> tuple:
 def parse_scalar(value) -> Number:
     """Parse a JSON/CLI scalar: int and float pass through, strings are
     exact rationals ("p", "p/q" or a decimal).  The value must be finite
-    in binary64, because every command also runs the float oracle."""
+    in binary64, because every command also runs the float oracle, and a
+    decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"not a scalar: {value!r}")
+    exp = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{value!r} has a decimal exponent beyond ±{MAX_DECIMAL_EXPONENT}")
     x = Fraction(value.strip()) if isinstance(value, str) else value
     try:
         if math.isfinite(x):

@@ -7,6 +7,8 @@ The difference equation is
 with the extended boundary coefficients a(0)=a(N-1)=a(N)=-1, b(N)=0.
 ``solve_minus`` starts from u(0)=0, u(1)=1 and ``solve_plus`` from
 u(N)=0, u(N+1)=1; both produce values on the full index range 0..N+1.
+Both run the one loop in ``_solve``: the plus side is the forward loop on
+the reversed coefficients a(N..0), b(N..1).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, NonFiniteValue
 from .jacobi import JacobiMatrix
 from .numeric import Number, is_exact
 
@@ -41,6 +43,12 @@ def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> Solution
     in the rational field.  The plus side runs the loop on the reversed
     coefficients from u(N+1)=1, u(N)=0 and reverses the result."""
     num = Fraction if h.exact and is_exact(z) else float
+    try:
+        finite = num is Fraction or math.isfinite(z)
+    except OverflowError:  # an exact z beyond binary64 in float mode
+        raise NonFiniteValue("spectral parameter is beyond binary64") from None
+    if not finite:
+        raise NonFiniteValue(f"spectral parameter {z!r} is not finite")
     a = [num(h.extended_a(n)) for n in range(h.N + 1)]
     b = [num(h.extended_b(n)) for n in range(1, h.N + 1)]
     z = num(z)

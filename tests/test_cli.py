@@ -1,10 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from relosc.cli import main, parse_matrix
 from relosc.errors import ParseError
+from relosc.numeric import parse_scalar
 
 
 def write(tmp_path, name, doc):
@@ -251,3 +253,21 @@ def test_matrix_file_not_utf8_exits_2(capsys, tmp_path):
     path.write_bytes(b'{"N": 2, "a": [], "b": [1]}\xff')
     code, out, err = run(capsys, "count", str(path), "--lambda", "0")
     assert code == 2 and out == "" and "relosc:" in err
+
+
+@pytest.mark.parametrize("entry", ["1e999999999", "1e-999999999"])
+def test_huge_decimal_exponent_exits_2_quickly(capsys, tmp_path, entry):
+    path = write(tmp_path, "exp.json", {"N": 3, "a": ["-1"], "b": [entry, "0"]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", path, "--lambda", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "relosc:" in err
+
+
+def test_decimal_exponent_bound():
+    assert parse_scalar("1e-4300") == Fraction(1, 10**4300)
+    for text in ("1e4301", "1E-4301", "1e-5000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(text)
+    with pytest.raises(ValueError, match="not finite"):
+        parse_scalar("1e999")

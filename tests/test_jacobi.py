@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from relosc.errors import (
     CoefficientMismatch,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteValue,
     NonNegativeOffDiagonal,
 )
 from relosc.jacobi import JacobiMatrix, free_matrix, interpolate, new_jacobi
@@ -42,6 +44,18 @@ def test_positive_offdiagonal_rejected():
         new_jacobi(3, [1], [0, 0])
     with pytest.raises(NonNegativeOffDiagonal):
         new_jacobi(3, [0], [0, 0])
+
+
+@pytest.mark.parametrize(
+    "a, b", [([-math.inf], [0.0, 0.0]), ([-1.0], [math.nan, 0.0])], ids=["a-minus-inf", "b-nan"]
+)
+def test_non_finite_float_entry_rejected(a, b):
+    with pytest.raises(NonFiniteValue):
+        new_jacobi(3, a, b)
+
+
+def test_exact_entries_beyond_binary64_accepted():
+    assert new_jacobi(3, [-(10**400)], [Fraction(1, 3), 10**400]).exact
 
 
 def test_dimension_mismatch():

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from relosc.errors import (
     CoefficientMismatch,
     InconsistentSigns,
     IndexOutOfRange,
+    NearEigenvalueWarning,
+    NonFiniteValue,
 )
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
 from relosc.oracle import free_matrix_spectrum
@@ -226,3 +230,36 @@ def test_pairing_symmetry_and_terminal_indicator(h0, data):
     # b_diff(N) = 0 by convention, so the last indicator always vanishes
     assert rep_a.details[-1] == 0
     assert rep_b.details[-1] == 0
+
+
+FREE4_FLOAT = new_jacobi(4, [-1.0, -1.0], [0.0, 0.0, 0.0])  # spectrum -sqrt2, 0, sqrt2
+
+
+def test_float_threshold_in_tolerance_band_warns():
+    # s_-(sqrt2, 4) is -6.7e-16 in binary64: inside the band, so counted as a zero
+    with pytest.warns(NearEigenvalueWarning):
+        assert count_below(FREE4_FLOAT, math.sqrt(2)) == 2
+    with pytest.warns(NearEigenvalueWarning):
+        assert is_eigenvalue(FREE4_FLOAT, math.sqrt(2))
+
+
+def test_exact_eigenvalue_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_eigenvalue(free_matrix(4), 0)
+        assert count_below(free_matrix(4), 0) == 1
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_count_below_rejects_non_finite_threshold(lam):
+    with pytest.raises(NonFiniteValue):
+        count_below(FREE4_FLOAT, lam)
+
+
+def test_exact_threshold_beyond_binary64_on_exact_matrix():
+    assert count_below(free_matrix(4), 10**400) == 3
+
+
+def test_relative_count_rejects_nan_thresholds():
+    with pytest.raises(NonFiniteValue):
+        relative_count(FREE4_FLOAT, FREE4_FLOAT, math.nan, math.nan)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relosc import verify
-from relosc.errors import DegenerateSolution, LengthMismatch
+from relosc.errors import BranchAmbiguity, DegenerateSolution, LengthMismatch
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi, to_float_matrix
 from relosc.oscillation import count_nodes, is_node, weighted_node_count
 from relosc.pruefer import (
@@ -152,3 +152,10 @@ def test_pruefer_suite_catches_a_wrong_ceiling_step(monkeypatch):
     report = verify.pruefer_suite(5, seed=1, max_dim=6)
     checks = [c for failure in report.failures for c in failure["checks"]]
     assert any("case table" in c for c in checks)
+
+
+def test_band_sign_on_a_branch_boundary_is_ambiguous():
+    # s_-(sqrt2, 4) of the float free matrix is -6.7e-16, inside the tolerance band
+    h = new_jacobi(4, [-1.0, -1.0], [0.0, 0.0, 0.0])
+    with pytest.raises(BranchAmbiguity):
+        node_count_via_angles(pruefer_sequence(solve_minus(h, math.sqrt(2))))

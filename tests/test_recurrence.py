@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from relosc.errors import LengthMismatch
+from relosc.errors import LengthMismatch, NonFiniteValue
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
 from relosc.recurrence import (
     check_wronskian_step,
@@ -145,3 +145,13 @@ def test_renormalization_prevents_overflow_and_keeps_signs():
     assert u.scale_log > 0
     # below the spectrum the solution stays strictly positive after u(0)
     assert all(v > 0 for v in u.values[1:])
+
+
+@pytest.mark.parametrize(
+    "z", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "minus-inf", "exact-huge"]
+)
+@pytest.mark.parametrize("solve", [solve_minus, solve_plus])
+def test_non_finite_spectral_parameter_rejected(solve, z):
+    # 10**400 is exact but the matrix is float, so z would become inf
+    with pytest.raises(NonFiniteValue):
+        solve(new_jacobi(3, [-1.0], [0.0, 0.0]), z)
