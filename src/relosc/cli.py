@@ -24,9 +24,9 @@ from .errors import MarginViolation, ParseError, ReloscError
 from .jacobi import JacobiMatrix, to_exact_matrix, to_float_matrix
 from .homotopy import eigenvalue_branches
 from .numeric import format_scalar, parse_scalar
-from .oracle import eigenvalues_dense
+from .oracle import eigenvalues_dense, oracle_count, oracle_relative_count
 from .oscillation import count_below, relative_count
-from .verify import SUITES, oracle_count, oracle_relative_count
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1

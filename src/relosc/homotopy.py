@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EpsOutOfRange, IndexOutOfRange, MarginViolation
+from .errors import EpsOutOfRange, IndexOutOfRange
 from .jacobi import JacobiMatrix, interpolate, require_compatible
 from .numeric import Number
-from .oracle import eigenvalues_dense
+from .oracle import _margin_guard, eigenvalues_dense
 from .recurrence import solve_minus, solve_plus
 
 
@@ -81,8 +81,20 @@ def eigenvalue_branches(
     return BranchTable(tuple(float(e) for e in grid), rows)
 
 
-def _b_diff(h0: JacobiMatrix, h1: JacobiMatrix):
-    return [h0.extended_b(n) - h1.extended_b(n) for n in range(1, h0.N + 1)]
+def _w_dot(h0, h1, eps, z, side: str, n: int):
+    """(W_n(u, du/d_eps), u) for u = s_{eps,side}(z): one interpolation, one
+    solve and one closed sum, over m > n on the plus side and m <= n on the
+    minus side."""
+    require_compatible(h0, h1)
+    if not 0 <= n <= h0.N:
+        raise IndexOutOfRange(f"n = {n} outside 0..{h0.N}")
+    h_eps = interpolate(h0, h1, eps)
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    u = (solve_plus if side == "plus" else solve_minus)(h_eps, z)
+    ms = range(n + 1, h0.N + 1) if side == "plus" else range(1, n + 1)
+    w = sum((h0.extended_b(m) - h1.extended_b(m)) * u.values[m] ** 2 for m in ms)
+    return (-w if side == "plus" else w), u
 
 
 def wronskian_eps_derivative(
@@ -98,18 +110,7 @@ def wronskian_eps_derivative(
         side plus:  - sum_{m=n+1}^{N} (b0(m) - b1(m)) s_{eps,+}(z, m)^2
         side minus: + sum_{m=1}^{n}   (b0(m) - b1(m)) s_{eps,-}(z, m)^2
     """
-    require_compatible(h0, h1)
-    if not 0 <= n <= h0.N:
-        raise IndexOutOfRange(f"n = {n} outside 0..{h0.N}")
-    h_eps = interpolate(h0, h1, eps)
-    bd = _b_diff(h0, h1)
-    if side == "plus":
-        u = solve_plus(h_eps, z)
-        return -sum(bd[m - 1] * u.values[m] ** 2 for m in range(n + 1, h0.N + 1))
-    if side == "minus":
-        u = solve_minus(h_eps, z)
-        return sum(bd[m - 1] * u.values[m] ** 2 for m in range(1, n + 1))
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    return _w_dot(h0, h1, eps, z, side, n)[0]
 
 
 def pruefer_eps_derivative(
@@ -121,9 +122,7 @@ def pruefer_eps_derivative(
     n: int,
 ) -> Number:
     """d(theta_eps)(n)/d_eps = -W_n(u, du/d_eps) / (a(n) rho^2(n))."""
-    w_dot = wronskian_eps_derivative(h0, h1, eps, z, side, n)
-    h_eps = interpolate(h0, h1, eps)
-    u = solve_plus(h_eps, z) if side == "plus" else solve_minus(h_eps, z)
+    w_dot, u = _w_dot(h0, h1, eps, z, side, n)
     rho_sq = u.values[n] ** 2 + u.values[n + 1] ** 2
     return -w_dot / (h0.extended_a(n) * rho_sq)
 
@@ -142,10 +141,7 @@ def signed_crossing_count(
     eig0 = eigenvalues_dense(h0).eigenvalues
     eig_low = eigenvalues_dense(h_low).eigenvalues
     eig1 = eigenvalues_dense(h1).eigenvalues
-    if margin > 0:
-        for e in (*eig0, *eig_low, *eig1):
-            if abs(e - lam) < margin:
-                raise MarginViolation(f"branch endpoint {e} within {margin} of {lam}")
+    _margin_guard((*eig0, *eig_low, *eig1), lam, margin)
     down = sum(1 for s, e in zip(eig0, eig_low) if s > lam > e)
     up = sum(1 for s, e in zip(eig_low, eig1) if s < lam < e)
     return down - up

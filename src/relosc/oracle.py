@@ -17,6 +17,7 @@ from .jacobi import JacobiMatrix
 
 OFFDIAG_TOL = 1e-14
 MAX_SWEEPS = 100
+MARGIN = 1e-6  # guard band between a threshold and the oracle's eigenvalues
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,6 @@ def eigenvalues_dense(h: JacobiMatrix) -> SpectrumReport:
     """
     m = dense(h)
     d = m.shape[0]
-    if d == 1:
-        return SpectrumReport((float(m[0, 0]),), "cyclic-plane-rotations", 0.0)
-
     norm = math.sqrt(np.sum(m * m))
     threshold = OFFDIAG_TOL * norm
     off = _offdiag_norm(m)
@@ -91,6 +89,15 @@ def eigenvalues_dense(h: JacobiMatrix) -> SpectrumReport:
     return SpectrumReport(eigs, "cyclic-plane-rotations", off)
 
 
+def _margin_guard(eigenvalues, lam: float, margin: float) -> None:
+    """Raise MarginViolation when an eigenvalue lies within margin of lambda."""
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
+    for e in eigenvalues:
+        if abs(e - lam) < margin:
+            raise MarginViolation(f"eigenvalue {e} within {margin} of {lam}")
+
+
 def count_below_oracle(
     s: SpectrumReport, lam: float, strict: bool = True, margin: float = 0.0
 ) -> int:
@@ -99,14 +106,20 @@ def count_below_oracle(
     Raises MarginViolation when any eigenvalue lies within ``margin`` of
     lambda, where the float comparison would be unreliable.
     """
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    for e in s.eigenvalues:
-        if abs(e - lam) < margin:
-            raise MarginViolation(f"eigenvalue {e} within {margin} of {lam}")
+    _margin_guard(s.eigenvalues, lam, margin)
     if strict:
         return sum(1 for e in s.eigenvalues if e < lam)
     return sum(1 for e in s.eigenvalues if e <= lam)
+
+
+def oracle_count(h: JacobiMatrix, lam, strict: bool = True) -> int:
+    """The oracle's #{E < lambda}, or #{E <= lambda} when not strict, behind the MARGIN guard."""
+    return count_below_oracle(eigenvalues_dense(h), float(lam), strict, MARGIN)
+
+
+def oracle_relative_count(h0: JacobiMatrix, h1: JacobiMatrix, lam0, lam1) -> int:
+    """The oracle's value of relative_count, behind the same margin guard."""
+    return oracle_count(h1, lam1) - oracle_count(h0, lam0, strict=False)
 
 
 def free_matrix_spectrum(N: int) -> list:

@@ -25,8 +25,8 @@ from .homotopy import (
     signed_crossing_count,
     wronskian_eps_derivative,
 )
-from .oracle import count_below_oracle, eigenvalues_dense
-from .oscillation import _is_node, count_below, count_nodes, is_eigenvalue, relative_count, weighted_node_report
+from .oracle import MARGIN, eigenvalues_dense, oracle_count, oracle_relative_count
+from .oscillation import _count_nodes, _is_node, count_below, is_eigenvalue, relative_count, weighted_node_report
 from .pruefer import (
     ANGLE_TOL,
     delta_ceils,
@@ -38,7 +38,6 @@ from .pruefer import (
 )
 from .recurrence import solve_minus, solve_plus, wronskian_pair
 
-MARGIN = 1e-6
 MAX_REDRAWS_PER_TRIAL = 500
 FD_STEP = Fraction(1, 10**6)
 
@@ -96,17 +95,6 @@ def _describe(h: JacobiMatrix, exact: bool = True) -> dict:
         "a": [format_scalar(x, exact) for x in h.a],
         "b": [format_scalar(x, exact) for x in h.b],
     }
-
-
-def oracle_count(h: JacobiMatrix, lam) -> int:
-    """The oracle's #{E < lambda}; MarginViolation when lambda is within MARGIN."""
-    return count_below_oracle(eigenvalues_dense(h), float(lam), True, MARGIN)
-
-
-def oracle_relative_count(h0: JacobiMatrix, h1: JacobiMatrix, lam0, lam1) -> int:
-    """The oracle's value of relative_count, behind the same margin guard."""
-    below1 = oracle_count(h1, lam1)
-    return below1 - count_below_oracle(eigenvalues_dense(h0), float(lam0), False, MARGIN)
 
 
 def _draw(report: VerifyReport, draw):
@@ -268,7 +256,7 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
             bad.append(f"gamma classification wrong at {n}: gamma={gamma}")
 
     # angle-based node count vs exact count
-    exact_nodes = count_nodes(u0e, 0, n_par)
+    exact_nodes = _count_nodes(signs, 0, n_par)
     angle_nodes = node_count_via_angles(p0)
     if angle_nodes != exact_nodes:
         bad.append(f"node count: angles {angle_nodes} vs exact {exact_nodes}")
