@@ -49,9 +49,14 @@ def eigenvalues_dense(h: JacobiMatrix) -> SpectrumReport:
     """Full spectrum via cyclic plane-rotation (Jacobi) diagonalization.
 
     Sweeps until the off-diagonal Frobenius mass drops below
-    1e-14 * ||H||_F, capped at 100 sweeps.
+    1e-14 * ||H||_F, capped at 100 sweeps.  The rotations run on a copy
+    scaled by a power of two so that its largest |entry| lies in [1/2, 1),
+    where no square over- or underflows; the scaling is exact, so it
+    changes no spectrum that was computable without it.
     """
     m = dense(h)
+    _, exp = math.frexp(np.max(np.abs(m)))
+    m = np.ldexp(m, -exp)
     d = m.shape[0]
     norm = math.sqrt(np.sum(m * m))
     threshold = OFFDIAG_TOL * norm
@@ -83,10 +88,10 @@ def eigenvalues_dense(h: JacobiMatrix) -> SpectrumReport:
                 m[p, q] = m[q, p] = 0.0
         off = _offdiag_norm(m)
     else:
-        raise NoConvergence(f"off-diagonal mass {off} after {MAX_SWEEPS} sweeps")
+        raise NoConvergence(f"off-diagonal mass {math.ldexp(off, exp)} after {MAX_SWEEPS} sweeps")
 
-    eigs = tuple(sorted(float(x) for x in np.diag(m)))
-    return SpectrumReport(eigs, "cyclic-plane-rotations", off)
+    eigs = tuple(sorted(math.ldexp(float(x), exp) for x in np.diag(m)))
+    return SpectrumReport(eigs, "cyclic-plane-rotations", math.ldexp(off, exp))
 
 
 def _margin_guard(eigenvalues, lam: float, margin: float) -> None:

@@ -118,6 +118,18 @@ def test_count_margin_guard_reports_null(capsys, one):
     assert doc["oracle"] is None and doc["agree"] is None
 
 
+def test_extreme_scale_oracle_agrees(capsys, tmp_path):
+    # the square of 1e160 overflows binary64; the oracle must still find +-1e160
+    path = write(tmp_path, "big.json", {"N": 3, "a": ["-1e160"], "b": ["0", "0"]})
+    code, out, _ = run(capsys, "count", path, "--lambda", "1")
+    doc = json.loads(out)
+    assert code == 0 and doc["count"] == 1 and doc["oracle"] == 1 and doc["agree"] is True
+    code, out, _ = run(capsys, "spectrum", path)
+    doc = json.loads(out)
+    assert code == 0 and doc["eigenvalues"] == pytest.approx([-1e160, 1e160], rel=1e-12)
+    assert doc["max_offdiag_residual"] <= 1e-14 * 1e160
+
+
 def test_relative_command(capsys, one, neg):
     code, out, _ = run(
         capsys, "relative", one, neg, "--lambda0", "0", "--lambda1", "0"

@@ -105,3 +105,31 @@ def test_residual_reported():
     s = eigenvalues_dense(free_matrix(8))
     norm = math.sqrt(2 * 7)  # Frobenius norm of F(8)
     assert 0 <= s.max_offdiag_residual <= 1e-14 * norm
+
+
+def _scaled_random(scale):
+    rng = random.Random(5)
+    a = tuple(-rng.uniform(0.1, 3.0) * scale for _ in range(7))
+    b = tuple(rng.uniform(-3.0, 3.0) * scale for _ in range(8))
+    return JacobiMatrix(9, a, b)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        new_jacobi(3, [Fraction("-1e160")], [0, 0]),
+        new_jacobi(3, [-1e-200], [1e-200, -1e-200]),
+        new_jacobi(7, [-1e200] * 5, [0.0] * 6),
+        new_jacobi(7, [-1e-200] * 5, [0.0] * 6),
+        _scaled_random(1e250),
+        _scaled_random(1e-250),
+    ],
+    ids=["exact-1e160", "float-1e-200", "free-1e200", "free-1e-200", "random-1e250", "random-1e-250"],
+)
+def test_extreme_scale_matches_eigvalsh(h):
+    # squares of these entries over- or underflow binary64
+    s = eigenvalues_dense(h)
+    ref = np.linalg.eigvalsh(dense(h))
+    top = np.max(np.abs(ref))  # ||H||_F <= sqrt(dim) * top, computed without squares
+    assert np.max(np.abs(np.array(s.eigenvalues) - ref)) <= 1e-12 * top
+    assert 0 <= s.max_offdiag_residual <= 1e-14 * math.sqrt(h.dim) * top
