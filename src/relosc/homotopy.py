@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import EpsOutOfRange, IndexOutOfRange
 from .jacobi import JacobiMatrix, interpolate, require_compatible
-from .numeric import Number
+from .numeric import Number, render
 from .oracle import _margin_guard, eigenvalues_dense
 from .recurrence import solve_minus, solve_plus
 
@@ -59,7 +59,7 @@ def two_phase_path(h0: JacobiMatrix, h1: JacobiMatrix, eps: Number) -> JacobiMat
     """Piecewise-linear path H0 -> H_low -> H1 parametrized over [0, 1]."""
     require_compatible(h0, h1)
     if not 0 <= eps <= 1:
-        raise EpsOutOfRange(f"eps = {eps!r} outside [0, 1]")
+        raise EpsOutOfRange(f"eps = {render(eps)} outside [0, 1]")
     h_low = lower_matrix(h0, h1)
     if 2 * eps <= 1:
         return interpolate(h0, h_low, 2 * eps)
@@ -87,7 +87,7 @@ def _w_dot(h0, h1, eps, z, side: str, n: int):
     minus side."""
     require_compatible(h0, h1)
     if not 0 <= n <= h0.N:
-        raise IndexOutOfRange(f"n = {n} outside 0..{h0.N}")
+        raise IndexOutOfRange(f"n = {render(n)} outside 0..{h0.N}")
     h_eps = interpolate(h0, h1, eps)
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")

@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteValue,
     NonNegativeOffDiagonal,
 )
-from .numeric import Number, is_exact
+from .numeric import Number, is_exact, render
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,14 @@ class JacobiMatrix:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         if not isinstance(self.N, int) or self.N < 2:
-            raise DimensionMismatch(f"N must be an integer >= 2, got {self.N!r}")
+            raise DimensionMismatch(f"N must be an integer >= 2, got {render(self.N)}")
         if len(self.a) != max(self.N - 2, 0):
             raise DimensionMismatch(
-                f"expected {max(self.N - 2, 0)} off-diagonal entries, got {len(self.a)}"
+                f"expected {render(max(self.N - 2, 0))} off-diagonal entries, got {len(self.a)}"
             )
         if len(self.b) != self.N - 1:
             raise DimensionMismatch(
-                f"expected {self.N - 1} diagonal entries, got {len(self.b)}"
+                f"expected {render(self.N - 1)} diagonal entries, got {len(self.b)}"
             )
         for name, xs in (("a", self.a), ("b", self.b)):
             for j, x in enumerate(xs, start=1):
@@ -51,7 +51,7 @@ class JacobiMatrix:
                     raise NonFiniteValue(f"{name}({j}) = {x!r} is not finite")
         for j, aj in enumerate(self.a, start=1):
             if not aj < 0:
-                raise NonNegativeOffDiagonal(f"a({j}) = {aj!r} must be negative")
+                raise NonNegativeOffDiagonal(f"a({j}) = {render(aj)} must be negative")
 
     @property
     def dim(self) -> int:
@@ -64,7 +64,7 @@ class JacobiMatrix:
     def extended_a(self, n: int) -> Number:
         """Off-diagonal with the boundary convention a(0)=a(N-1)=a(N)=-1."""
         if not 0 <= n <= self.N:
-            raise IndexOutOfRange(f"a({n}) undefined for N={self.N}")
+            raise IndexOutOfRange(f"a({render(n)}) undefined for N={self.N}")
         if 1 <= n <= self.N - 2:
             return self.a[n - 1]
         return -1
@@ -72,7 +72,7 @@ class JacobiMatrix:
     def extended_b(self, n: int) -> Number:
         """Diagonal with the boundary convention b(N)=0."""
         if not 1 <= n <= self.N:
-            raise IndexOutOfRange(f"b({n}) undefined for N={self.N}")
+            raise IndexOutOfRange(f"b({render(n)}) undefined for N={self.N}")
         if n <= self.N - 1:
             return self.b[n - 1]
         return 0

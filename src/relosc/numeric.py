@@ -53,13 +53,23 @@ def classify(values: Iterable[Number]) -> tuple:
     return signs, band
 
 
+def render(x) -> str:
+    """repr(x) for an error message.  An int past Python's int-to-str digit
+    limit (or a Fraction holding one) is named by its type instead, since
+    repr would raise a plain ValueError in place of the error being built."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
 def parse_scalar(value) -> Number:
     """Parse a JSON/CLI scalar: int and float pass through, strings are
     exact rationals ("p", "p/q" or a decimal).  The value must be finite
     in binary64, because every command also runs the float oracle, and a
     decimal exponent may not exceed MAX_DECIMAL_EXPONENT in magnitude."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"not a scalar: {value!r}")
+        raise ValueError(f"not a scalar: {render(value)}")
     exp = _EXPONENT.search(value) if isinstance(value, str) else None
     if exp and abs(int(exp[1])) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"{value!r} has a decimal exponent beyond ±{MAX_DECIMAL_EXPONENT}")
@@ -69,7 +79,7 @@ def parse_scalar(value) -> Number:
             return x
     except OverflowError:  # an int or Fraction beyond binary64
         pass
-    raise ValueError(f"{value!r} is not finite in binary64")
+    raise ValueError(f"{render(value)} is not finite in binary64")
 
 
 def format_scalar(x: Number, exact: bool):

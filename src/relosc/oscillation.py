@@ -23,7 +23,7 @@ from .errors import (
     PairingDisagreement,
 )
 from .jacobi import JacobiMatrix, require_compatible
-from .numeric import Number, classify
+from .numeric import Number, classify, render
 from .recurrence import (
     SolutionSequence,
     WronskianSequence,
@@ -55,7 +55,7 @@ def _count_nodes(signs: list, m: int, n: int) -> int:
 def is_node(u: SolutionSequence, n: int) -> bool:
     """n is a node iff u(n) = 0 or u(n) u(n+1) < 0."""
     if not 0 <= n <= u.N:
-        raise IndexOutOfRange(f"node index {n} outside 0..{u.N}")
+        raise IndexOutOfRange(f"node index {render(n)} outside 0..{u.N}")
     return _is_node(classify(u.values)[0], n)
 
 
@@ -63,7 +63,7 @@ def count_nodes(u: SolutionSequence, m: int, n: int) -> int:
     """Nodes lying between m and n: those with m < n0 < n, plus the node at
     m itself when u(m) != 0."""
     if not 0 <= m < n <= u.N:
-        raise IndexOutOfRange(f"need 0 <= m < n <= {u.N}, got ({m}, {n})")
+        raise IndexOutOfRange(f"need 0 <= m < n <= {u.N}, got ({render(m)}, {render(n)})")
     return _count_nodes(classify(u.values)[0], m, n)
 
 
@@ -108,7 +108,7 @@ def weighted_node_indicator(w: WronskianSequence, n: int) -> int:
     """Weighted node indicator in {-1, 0, +1} at index 0 <= n <= N-1, read
     from the whole report: an impossible sign pattern anywhere in w raises."""
     if not 0 <= n <= w.N - 1:
-        raise IndexOutOfRange(f"indicator index {n} outside 0..{w.N - 1}")
+        raise IndexOutOfRange(f"indicator index {render(n)} outside 0..{w.N - 1}")
     return weighted_node_report(w).details[n]
 
 

@@ -7,11 +7,16 @@ from hypothesis import given, strategies as st
 from relosc.errors import (
     CoefficientMismatch,
     DimensionMismatch,
+    EpsOutOfRange,
     IndexOutOfRange,
     NonFiniteValue,
     NonNegativeOffDiagonal,
 )
+from relosc.homotopy import two_phase_path, wronskian_eps_derivative
 from relosc.jacobi import JacobiMatrix, free_matrix, interpolate, new_jacobi
+from relosc.numeric import parse_scalar
+from relosc.oscillation import count_nodes, is_node
+from relosc.recurrence import solve_minus
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 neg_fractions_st = st.fractions(
@@ -161,3 +166,31 @@ def test_interpolate_is_affine(h0, data):
     assert he.a == h0.a
     for be, b0, b1_ in zip(he.b, h0.b, h1.b):
         assert be - b0 == eps * (b1_ - b0)
+
+
+HUGE = 10**5000  # past Python's 4300-digit limit on int-to-str conversion
+F4 = free_matrix(4)
+U4 = solve_minus(F4, 0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: new_jacobi(3, [HUGE], [0, 0]), NonNegativeOffDiagonal, id="new_jacobi-a"),
+        pytest.param(lambda: new_jacobi(HUGE, [], [0]), DimensionMismatch, id="new_jacobi-N"),
+        pytest.param(lambda: F4.extended_a(HUGE), IndexOutOfRange, id="extended_a"),
+        pytest.param(lambda: F4.extended_b(-HUGE), IndexOutOfRange, id="extended_b"),
+        pytest.param(lambda: is_node(U4, HUGE), IndexOutOfRange, id="is_node"),
+        pytest.param(lambda: count_nodes(U4, 0, HUGE), IndexOutOfRange, id="count_nodes"),
+        pytest.param(
+            lambda: wronskian_eps_derivative(F4, F4, 0, 0, "plus", HUGE),
+            IndexOutOfRange,
+            id="wronskian_eps_derivative",
+        ),
+        pytest.param(lambda: two_phase_path(F4, F4, Fraction(HUGE)), EpsOutOfRange, id="two_phase_path"),
+        pytest.param(lambda: parse_scalar(HUGE), ValueError, id="parse_scalar"),
+    ],
+)
+def test_huge_value_in_message_keeps_typed_error(call, error):
+    with pytest.raises(error, match="too long to print"):
+        call()
