@@ -1,7 +1,9 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from relosc.errors import (
     NearEigenvalueWarning,
     NonFiniteValue,
 )
+from relosc import oracle, verify
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
 from relosc.oracle import free_matrix_spectrum
 from relosc.oscillation import (
@@ -209,6 +212,29 @@ def test_exact_relative_count_beyond_float_range():
         assert relative_count(h100, h99, lam, lam) == (
             closed_form_below(N, 99, lam) - closed_form_below(N, 100, lam, strict=False)
         )
+
+
+def _threshold_off(rng, *spectra):
+    """A verify-style rational threshold at least 1e-6 from every reference
+    eigenvalue, redrawn on the reference alone."""
+    while True:
+        lam = verify.rand_fraction(rng)
+        if all(np.min(np.abs(e - float(lam))) >= 1e-6 for e in spectra):
+            return lam
+
+
+@pytest.mark.parametrize("dim, seed", [(200, 1), (200, 2), (200, 3), (1000, 4)])
+def test_exact_counts_on_random_pairs_at_large_dimension(dim, seed):
+    rng = random.Random(seed)
+    h0, h1 = verify.random_pair(rng, dim)
+    e0, e1 = (np.linalg.eigvalsh(oracle.dense(h)) for h in (h0, h1))
+    lam = _threshold_off(rng, e0, e1)
+    lam0, lam1 = _threshold_off(rng, e0), _threshold_off(rng, e1)
+    assert count_below(h0, lam) == np.sum(e0 < float(lam))
+    assert count_below(h1, lam1) == np.sum(e1 < float(lam1))
+    for l0, l1 in ((lam, lam), (lam0, lam1)):
+        expected = np.sum(e1 < float(l1)) - np.sum(e0 <= float(l0))
+        assert relative_count(h0, h1, l0, l1) == expected
 
 
 @settings(deadline=None)
