@@ -81,7 +81,7 @@ def eigenvalue_branches(
     return BranchTable(tuple(float(e) for e in grid), rows)
 
 
-def _w_dot(h0, h1, eps, z, side: str, n: int):
+def _w_dot(h0: JacobiMatrix, h1: JacobiMatrix, eps: Number, z: Number, side: str, n: int):
     """(W_n(u, du/d_eps), u) for u = s_{eps,side}(z): one interpolation, one
     solve and one closed sum, over m > n on the plus side and m <= n on the
     minus side."""
