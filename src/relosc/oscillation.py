@@ -6,7 +6,10 @@ lambda.  ``relative_count`` realizes the relative version: the number of
 weighted nodes of the Wronskian of s_{0,-}(lambda0) and s_{1,+}(lambda1)
 equals #{E in sigma(H1): E < lambda1} - #{E in sigma(H0): E <= lambda0}.
 
-In exact mode every sign decision is error-free; in float mode signs are
+In exact mode every sign decision is error-free, and the exact relative
+count reads its Wronskian signs from fraction-free integer solutions
+(``recurrence._int_wronskian``), which give the same answers as the
+``Fraction`` solves at a fraction of the cost; in float mode signs are
 classified under the module tolerance policy and near-zero classifications
 emit ``NearEigenvalueWarning``.
 """
@@ -23,10 +26,12 @@ from .errors import (
     PairingDisagreement,
 )
 from .jacobi import JacobiMatrix, require_compatible
-from .numeric import Number, classify, render
+from .numeric import Number, classify, is_exact, render
 from .recurrence import (
     SolutionSequence,
     WronskianSequence,
+    _int_wronskian,
+    _scaled_equations,
     solve_minus,
     solve_plus,
     wronskian_pair,
@@ -112,13 +117,17 @@ def weighted_node_indicator(w: WronskianSequence, n: int) -> int:
     return weighted_node_report(w).details[n]
 
 
-def weighted_node_report(w: WronskianSequence) -> CountReport:
-    sw, sb = classify(w.values)[0], classify(w.b_diff)[0]
+def _report(sw: list, sb: list) -> CountReport:
+    """The weighted-node report from the signs of W_0..W_N and b_diff(1..N)."""
     indicators = tuple(
-        _indicator_from_signs(sw[n], sw[n + 1], sb[n]) for n in range(w.N)
+        _indicator_from_signs(sw[n], sw[n + 1], sb[n]) for n in range(len(sw) - 1)
     )
     correction = -1 if sw[0] == 0 else 0
     return CountReport(sum(indicators) + correction, "direct-signs", indicators, correction)
+
+
+def weighted_node_report(w: WronskianSequence) -> CountReport:
+    return _report(classify(w.values)[0], classify(w.b_diff)[0])
 
 
 def weighted_node_count(w: WronskianSequence) -> int:
@@ -131,9 +140,17 @@ def relative_count_report(
 ):
     """Both solution pairings of the relative count, with details."""
     require_compatible(h0, h1)
-    w_a = wronskian_pair(h0, h1, solve_minus(h0, lam0), solve_plus(h1, lam1))
-    w_b = wronskian_pair(h0, h1, solve_plus(h0, lam0), solve_minus(h1, lam1))
-    return weighted_node_report(w_a), weighted_node_report(w_b)
+    if not (h0.exact and h1.exact and is_exact(lam0) and is_exact(lam1)):
+        w_a = wronskian_pair(h0, h1, solve_minus(h0, lam0), solve_plus(h1, lam1))
+        w_b = wronskian_pair(h0, h1, solve_plus(h0, lam0), solve_minus(h1, lam1))
+        return weighted_node_report(w_a), weighted_node_report(w_b)
+    up, down, c0, c1 = _scaled_equations(h0, h1, lam0, lam1)
+    # sign b_diff(n) = sign(c1(n) - c0(n)), and b_diff(N) = 0 by convention
+    sb = classify([y - x for x, y in zip(c0[:-1], c1)] + [0])[0]
+    sw_a = classify(_int_wronskian(up, down, c0, c1))[0]
+    # W(s_0+, s_1-) = -W(s_1-, s_0+)
+    sw_b = [-s for s in classify(_int_wronskian(up, down, c1, c0))[0]]
+    return _report(sw_a, sb), _report(sw_b, sb)
 
 
 def relative_count(h0: JacobiMatrix, h1: JacobiMatrix, lam0: Number, lam1: Number) -> int:

@@ -9,6 +9,11 @@ with the extended boundary coefficients a(0)=a(N-1)=a(N)=-1, b(N)=0.
 u(N)=0, u(N+1)=1; both produce values on the full index range 0..N+1.
 Both run the one loop in ``_solve``: the plus side is the forward loop on
 the reversed coefficients a(N..0), b(N..1).
+
+The exact relative count reads its Wronskian signs from a fraction-free
+form instead (``_int_solve``, ``_int_wronskian``): positive multiples of the
+true values in plain ints, with no gcd per step, so it gives the same signs
+as the ``Fraction`` solves.
 """
 
 from __future__ import annotations
@@ -69,6 +74,51 @@ def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> Solution
     if side == "plus":
         u.reverse()
     return SolutionSequence(z, side, tuple(u), h.N, scale_log)
+
+
+def _scaled_equations(h0: JacobiMatrix, h1: JacobiMatrix, z0: Number, z1: Number) -> tuple:
+    """Equation n = 1..N of the exact H0 - z0 and H1 - z1, both times K(n),
+    the lcm of the denominators of a(n), a(n-1), z0, z1, b0(n) and b1(n), as
+    int lists (up, down, c0, c1): up(n) = -K a(n) > 0, down(n) = -K a(n-1) > 0
+    and ci(n) = K (zi - bi(n)).  K(n) is local to equation n: one lcm over
+    all of them would multiply every entry by a denominator as long as the
+    longest, and the solutions would grow quadratically in N."""
+    a = (-1,) + h0.a + (-1, -1)
+    up, down, c0, c1 = [], [], [], []
+    for n, b0, b1 in zip(range(1, h0.N + 1), h0.b + (0,), h1.b + (0,)):
+        x, y = a[n], a[n - 1]
+        k = math.lcm(*(q.denominator for q in (x, y, z0, z1, b0, b1)))
+        up.append(k // x.denominator * -x.numerator)
+        down.append(k // y.denominator * -y.numerator)
+        for c, z, b in ((c0, z0, b0), (c1, z1, b1)):
+            c.append(k // z.denominator * z.numerator - k // b.denominator * b.numerator)
+    return up, down, c0, c1
+
+
+def _int_solve(up: list, down: list, c: list, side: str) -> list:
+    """v(0..N+1), a positive multiple of each value of the minus or plus
+    solution of the scaled equations: v(n+1) = -c(n) v(n) - down(n) up(n-1)
+    v(n-1) with up(0) = 1 gives v(n) = up(1)..up(n-1) u(n).  The plus side is
+    the same loop on the reversed (down, up, c) from v(N+1) = 1, v(N) = 0."""
+    if side == "plus":
+        up, down, c = down[::-1], up[::-1], c[::-1]
+    v = [0, 1] if side == "minus" else [1, 0]
+    for up_prev, down_n, c_n in zip([1] + up, down, c):
+        v.append(-c_n * v[-1] - down_n * up_prev * v[-2])
+    return v if side == "minus" else v[::-1]
+
+
+def _int_wronskian(up: list, down: list, c_minus: list, c_plus: list) -> list:
+    """M W_n for n = 0..N and one M > 0, where W is the Wronskian of the
+    minus solution of (up, down, c_minus) with the plus solution of
+    (up, down, c_plus).  With M = K(1)..K(N) (-a(1))..(-a(N-1)), the step
+    identity W_{n+1} - W_n = b_diff(n+1) u0(n+1) u1(n+1) becomes
+    M (W_{n+1} - W_n) = (c_plus - c_minus)(n+1) v(n+1) w(n+1), and M W_0 = w(0)."""
+    v, w = _int_solve(up, down, c_minus, "minus"), _int_solve(up, down, c_plus, "plus")
+    x = [w[0]]
+    for n, (cm, cp) in enumerate(zip(c_minus, c_plus), start=1):
+        x.append(x[-1] + (cp - cm) * v[n] * w[n])
+    return x
 
 
 def solve_minus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> SolutionSequence:
