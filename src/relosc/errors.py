@@ -58,7 +58,8 @@ class NoConvergence(ReloscError):
 
 class NonFiniteValue(ReloscError, ValueError):
     """A float matrix entry or spectral parameter is NaN or infinite, or an
-    exact spectral parameter is beyond binary64 in float mode."""
+    exact value is beyond binary64 where a float is needed (a spectral
+    parameter in float mode, or an entry or threshold given to the oracle)."""
 
 
 class ParseError(ReloscError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MarginViolation, NoConvergence
+from .errors import MarginViolation, NoConvergence, NonFiniteValue
 from .jacobi import JacobiMatrix
 
 OFFDIAG_TOL = 1e-14
@@ -29,14 +29,23 @@ class SpectrumReport:
     max_offdiag_residual: float
 
 
+def _binary64(x, what: str) -> float:
+    """float(x), raising NonFiniteValue for an exact x beyond binary64."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise NonFiniteValue(f"{what} is beyond binary64") from None
+
+
 def dense(h: JacobiMatrix) -> np.ndarray:
-    """Dense float64 matrix of H."""
+    """Dense float64 matrix of H; an exact entry beyond binary64 raises
+    NonFiniteValue."""
     d = h.dim
     m = np.zeros((d, d))
     for i in range(d):
-        m[i, i] = float(h.b[i])
+        m[i, i] = _binary64(h.b[i], f"b({i + 1})")
         if i + 1 < d:
-            m[i, i + 1] = m[i + 1, i] = float(h.a[i])
+            m[i, i + 1] = m[i + 1, i] = _binary64(h.a[i], f"a({i + 1})")
     return m
 
 
@@ -98,8 +107,9 @@ def _margin_guard(eigenvalues, lam: float, margin: float) -> None:
     """Raise MarginViolation when an eigenvalue lies within margin of lambda."""
     if margin < 0:
         raise ValueError("margin must be >= 0")
+    x = _binary64(lam, "threshold")
     for e in eigenvalues:
-        if abs(e - lam) < margin:
+        if abs(e - x) < margin:
             raise MarginViolation(f"eigenvalue {e} within {margin} of {lam}")
 
 
@@ -119,7 +129,7 @@ def count_below_oracle(
 
 def oracle_count(h: JacobiMatrix, lam, strict: bool = True) -> int:
     """The oracle's #{E < lambda}, or #{E <= lambda} when not strict, behind the MARGIN guard."""
-    return count_below_oracle(eigenvalues_dense(h), float(lam), strict, MARGIN)
+    return count_below_oracle(eigenvalues_dense(h), _binary64(lam, "threshold"), strict, MARGIN)
 
 
 def oracle_relative_count(h0: JacobiMatrix, h1: JacobiMatrix, lam0, lam1) -> int:

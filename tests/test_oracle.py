@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from relosc.errors import MarginViolation
+from relosc.errors import MarginViolation, NonFiniteValue
+from relosc.homotopy import signed_crossing_count
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
 from relosc.oracle import (
     SpectrumReport,
@@ -14,6 +15,7 @@ from relosc.oracle import (
     dense,
     eigenvalues_dense,
     free_matrix_spectrum,
+    oracle_count,
 )
 
 from test_jacobi import jacobi_st
@@ -133,3 +135,17 @@ def test_extreme_scale_matches_eigvalsh(h):
     top = np.max(np.abs(ref))  # ||H||_F <= sqrt(dim) * top, computed without squares
     assert np.max(np.abs(np.array(s.eigenvalues) - ref)) <= 1e-12 * top
     assert 0 <= s.max_offdiag_residual <= 1e-14 * math.sqrt(h.dim) * top
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eigenvalues_dense(JacobiMatrix(3, (-10**400,), (0, 0))),
+        lambda: oracle_count(free_matrix(3), 10**400),
+        lambda: signed_crossing_count(free_matrix(3), free_matrix(3), 10**400),
+    ],
+    ids=["dense-entry", "oracle-count-threshold", "crossing-count-threshold"],
+)
+def test_value_beyond_binary64_raises_typed_error(call):
+    with pytest.raises(NonFiniteValue, match="beyond binary64"):
+        call()
