@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -28,9 +29,13 @@ from relosc.oscillation import (
     weighted_node_indicator,
     weighted_node_report,
 )
+from relosc.numeric import classify
 from relosc.recurrence import (
     SolutionSequence,
     WronskianSequence,
+    _int_solve,
+    _int_wronskian,
+    _scaled_equations,
     solve_minus,
     solve_plus,
     wronskian_pair,
@@ -235,6 +240,87 @@ def test_exact_counts_on_random_pairs_at_large_dimension(dim, seed):
     for l0, l1 in ((lam, lam), (lam0, lam1)):
         expected = np.sum(e1 < float(l1)) - np.sum(e0 <= float(l0))
         assert relative_count(h0, h1, l0, l1) == expected
+
+
+def _signs(values):
+    return classify(values)[0]
+
+
+def _large_primes(count, start=10**6):
+    out, n = [], start
+    while len(out) < count:
+        if all(n % p for p in range(2, math.isqrt(n) + 1)):
+            out.append(n)
+        n += 1
+    return out
+
+
+LARGE_PRIMES = _large_primes(64)
+
+
+def _coprime_fraction(rng, negative=False):
+    q = rng.choice(LARGE_PRIMES)
+    return Fraction(-rng.randint(1, 3 * q) if negative else rng.randint(-3 * q, 3 * q), q)
+
+
+def _sign_instance(rng, kind, dim):
+    """(h0, h1, lam0): a pair sharing a and a threshold for H0, of one kind."""
+    if kind == "random":
+        return (*verify.random_pair(rng, dim), verify.rand_fraction(rng))
+    if kind == "free":  # H1 = H0, with thresholds that are often eigenvalues
+        h = free_matrix(dim + 1)
+        return h, h, rng.choice([0, 1, -1, verify.rand_fraction(rng)])
+    if kind == "forced":  # lam0 is an eigenvalue of H0
+        lam0 = verify.rand_fraction(rng)
+        h0 = None
+        while h0 is None:
+            h0 = verify._forced_eigenvalue_matrix(rng, dim, lam0)
+        b1 = tuple(verify.rand_fraction(rng) for _ in range(dim))
+        return h0, JacobiMatrix(h0.N, h0.a, b1), lam0
+    # "coprime": every denominator a prime above 10**6, so K(n) is a product of several
+    a = tuple(_coprime_fraction(rng, negative=True) for _ in range(dim - 1))
+    b0, b1 = (tuple(_coprime_fraction(rng) for _ in range(dim)) for _ in range(2))
+    return JacobiMatrix(dim + 1, a, b0), JacobiMatrix(dim + 1, a, b1), _coprime_fraction(rng)
+
+
+@pytest.mark.parametrize("dim, draws", [(1, 12), (2, 12), (3, 12), (10, 6), (200, 1)])
+@pytest.mark.parametrize("kind", ["random", "forced", "free", "coprime"])
+def test_integer_signs_match_fraction_signs_index_by_index(kind, dim, draws):
+    rng = random.Random(f"{kind}:{dim}")
+    for _ in range(draws):
+        h0, h1, lam0 = _sign_instance(rng, kind, dim)
+        lam_other = _coprime_fraction(rng) if kind == "coprime" else verify.rand_fraction(rng)
+        for lam1 in (lam0, lam_other):
+            up, down, c0, c1 = _scaled_equations(h0, h1, lam0, lam1)
+            m0, p0 = solve_minus(h0, lam0), solve_plus(h0, lam0)
+            m1, p1 = solve_minus(h1, lam1), solve_plus(h1, lam1)
+            for c, m, p in ((c0, m0, p0), (c1, m1, p1)):
+                assert _signs(_int_solve(up, down, c, "minus")) == _signs(m.values)
+                assert _signs(_int_solve(up, down, c, "plus")) == _signs(p.values)
+            w_a, w_b = wronskian_pair(h0, h1, m0, p1), wronskian_pair(h0, h1, p0, m1)
+            assert _signs(_int_wronskian(up, down, c0, c1)) == _signs(w_a.values)
+            assert [-s for s in _signs(_int_wronskian(up, down, c1, c0))] == _signs(w_b.values)
+            expected = weighted_node_report(w_a), weighted_node_report(w_b)
+            assert relative_count_report(h0, h1, lam0, lam1) == expected
+
+
+def test_relative_count_at_a_forced_eigenvalue_at_large_dimension():
+    # b(N-1) of H0 has a denominator of 1337 digits.  Scaling every equation
+    # by one lcm of all denominators would carry those digits into every
+    # step, the integers would grow quadratically in N, and the count would
+    # take many times the bound below.
+    rng = random.Random(1)
+    lam0 = verify.rand_fraction(rng)
+    h0 = verify._forced_eigenvalue_matrix(rng, 1000, lam0)
+    h1 = JacobiMatrix(h0.N, h0.a, tuple(verify.rand_fraction(rng) for _ in range(1000)))
+    lam1 = verify.rand_fraction(rng)
+    assert len(str(h0.b[-1].denominator)) >= 1000
+    start = time.perf_counter()
+    counts = relative_count(h0, h1, lam0, lam0), relative_count(h0, h1, lam0, lam1)
+    elapsed = time.perf_counter() - start
+    # the answers of the Fraction-based relative count
+    assert counts == (7, -247)
+    assert elapsed < 1.0
 
 
 @settings(deadline=None)
