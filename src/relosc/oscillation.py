@@ -6,12 +6,12 @@ lambda.  ``relative_count`` realizes the relative version: the number of
 weighted nodes of the Wronskian of s_{0,-}(lambda0) and s_{1,+}(lambda1)
 equals #{E in sigma(H1): E < lambda1} - #{E in sigma(H0): E <= lambda0}.
 
-In exact mode every sign decision is error-free, and the exact relative
-count reads its Wronskian signs from fraction-free integer solutions
-(``recurrence._int_wronskian``), which give the same answers as the
-``Fraction`` solves at a fraction of the cost; in float mode signs are
-classified under the module tolerance policy and near-zero classifications
-emit ``NearEigenvalueWarning``.
+The relative count only reads signs: it takes its Wronskian signs from
+``recurrence._wronskian_signs``, which decides how they are computed
+(fraction-free integers when every input is exact).  In exact
+mode every sign decision is error-free; in float mode signs are classified
+under the ``numeric`` tolerance policy and near-zero classifications emit
+``NearEigenvalueWarning``.
 """
 
 from __future__ import annotations
@@ -26,16 +26,8 @@ from .errors import (
     PairingDisagreement,
 )
 from .jacobi import JacobiMatrix, require_compatible
-from .numeric import Number, classify, is_exact, render
-from .recurrence import (
-    SolutionSequence,
-    WronskianSequence,
-    _int_wronskian,
-    _scaled_equations,
-    solve_minus,
-    solve_plus,
-    wronskian_pair,
-)
+from .numeric import Number, classify, render
+from .recurrence import SolutionSequence, WronskianSequence, _wronskian_signs, solve_minus
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,7 @@ class CountReport:
     """A count together with the per-index indicators that produced it."""
 
     count: int
-    method: str  # "direct-signs" | "pruefer-angles"
+    method: str  # always "direct-signs"
     details: tuple  # per-index indicator list
     boundary_correction: int = 0
 
@@ -140,16 +132,7 @@ def relative_count_report(
 ):
     """Both solution pairings of the relative count, with details."""
     require_compatible(h0, h1)
-    if not (h0.exact and h1.exact and is_exact(lam0) and is_exact(lam1)):
-        w_a = wronskian_pair(h0, h1, solve_minus(h0, lam0), solve_plus(h1, lam1))
-        w_b = wronskian_pair(h0, h1, solve_plus(h0, lam0), solve_minus(h1, lam1))
-        return weighted_node_report(w_a), weighted_node_report(w_b)
-    up, down, c0, c1 = _scaled_equations(h0, h1, lam0, lam1)
-    # sign b_diff(n) = sign(c1(n) - c0(n)), and b_diff(N) = 0 by convention
-    sb = classify([y - x for x, y in zip(c0[:-1], c1)] + [0])[0]
-    sw_a = classify(_int_wronskian(up, down, c0, c1))[0]
-    # W(s_0+, s_1-) = -W(s_1-, s_0+)
-    sw_b = [-s for s in classify(_int_wronskian(up, down, c1, c0))[0]]
+    sw_a, sw_b, sb = _wronskian_signs(h0, h1, lam0, lam1)
     return _report(sw_a, sb), _report(sw_b, sb)
 
 

@@ -10,10 +10,12 @@ u(N)=0, u(N+1)=1; both produce values on the full index range 0..N+1.
 Both run the one loop in ``_solve``: the plus side is the forward loop on
 the reversed coefficients a(N..0), b(N..1).
 
-The exact relative count reads its Wronskian signs from a fraction-free
-form instead (``_int_solve``, ``_int_wronskian``): positive multiples of the
-true values in plain ints, with no gcd per step, so it gives the same signs
-as the ``Fraction`` solves.
+``_wronskian_signs`` is the one place that decides how the Wronskian signs
+of a relative count are computed.  When every input is exact it reads them
+from a fraction-free form (``_int_solve``, ``_int_wronskian``): positive
+multiples of the true values in plain ints, with no gcd per step, so it
+gives the same signs as the ``Fraction`` solves.  Otherwise it classifies
+``wronskian_pair`` of the solutions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from .errors import LengthMismatch, NonFiniteValue
 from .jacobi import JacobiMatrix
-from .numeric import Number, is_exact
+from .numeric import Number, classify, is_exact
 
 # Renormalization threshold for optional float-mode rescaling on long grids.
 RENORM_THRESHOLD = 2.0**512
@@ -192,6 +194,23 @@ def wronskian_pair(
         h0.extended_b(n) - h1.extended_b(n) - u0.z + u1.z for n in range(1, h0.N)
     ) + (0 * (u0.z - u1.z),)
     return wronskian_sequence(h0, u0, u1, b_diff)
+
+
+def _wronskian_signs(h0: JacobiMatrix, h1: JacobiMatrix, z0: Number, z1: Number) -> tuple:
+    """(sw_a, sw_b, sb): the signs of W(s_0-, s_1+) and W(s_0+, s_1-) at
+    n = 0..N and of b_diff at n = 1..N, where s_0- is the minus solution of
+    H0 at z0 and s_1+ the plus solution of H1 at z1."""
+    if not (h0.exact and h1.exact and is_exact(z0) and is_exact(z1)):
+        w_a = wronskian_pair(h0, h1, solve_minus(h0, z0), solve_plus(h1, z1))
+        w_b = wronskian_pair(h0, h1, solve_plus(h0, z0), solve_minus(h1, z1))
+        return classify(w_a.values)[0], classify(w_b.values)[0], classify(w_a.b_diff)[0]
+    up, down, c0, c1 = _scaled_equations(h0, h1, z0, z1)
+    # sign b_diff(n) = sign(c1(n) - c0(n)), and b_diff(N) = 0 by convention
+    sb = classify([y - x for x, y in zip(c0[:-1], c1)] + [0])[0]
+    sw_a = classify(_int_wronskian(up, down, c0, c1))[0]
+    # W(s_0+, s_1-) = -W(s_1-, s_0+)
+    sw_b = [-s for s in classify(_int_wronskian(up, down, c1, c0))[0]]
+    return sw_a, sw_b, sb
 
 
 def check_wronskian_step(

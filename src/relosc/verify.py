@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BranchAmbiguity, DegenerateSolution, InconsistentSigns, MarginViolation
 from .jacobi import JacobiMatrix, interpolate, to_exact_matrix, to_float_matrix
-from .numeric import classify, format_scalar
+from .numeric import format_scalar
 from .homotopy import (
     lower_matrix,
     pruefer_eps_derivative,
@@ -26,7 +26,7 @@ from .homotopy import (
     wronskian_eps_derivative,
 )
 from .oracle import MARGIN, eigenvalues_dense, oracle_count, oracle_relative_count
-from .oscillation import _count_nodes, _is_node, count_below, is_eigenvalue, relative_count, weighted_node_report
+from .oscillation import _count_nodes, _is_node, _minus_signs, _report, count_below, is_eigenvalue, relative_count
 from .pruefer import (
     ANGLE_TOL,
     delta_ceils,
@@ -36,7 +36,7 @@ from .pruefer import (
     theta_ceils,
     weighted_count_via_angles,
 )
-from .recurrence import solve_minus, solve_plus, wronskian_pair
+from .recurrence import _wronskian_signs, solve_minus, solve_plus
 
 MAX_REDRAWS_PER_TRIAL = 500
 FD_STEP = Fraction(1, 10**6)
@@ -225,8 +225,6 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
     """All angle-vs-exact checks for one instance.  Raises BranchAmbiguity
     (or returns via exception) when a float classification is unreliable."""
     h0f, h1f = to_float_matrix(h0), to_float_matrix(h1)
-    u0e = solve_minus(h0, lam0)
-    u1e = solve_plus(h1, lam1)
     u0f = solve_minus(h0f, float(lam0))
     u1f = solve_plus(h1f, float(lam1))
     p0 = pruefer_sequence(u0f)
@@ -234,7 +232,7 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
     n_par = h0.N
 
     bad = []
-    signs = classify(u0e.values)[0]
+    signs = _minus_signs(h0, lam0)
     nodes = [_is_node(signs, n) for n in range(n_par + 1)]
 
     # normalization chain and node-driven ceiling jumps
@@ -262,21 +260,20 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
         bad.append(f"node count: angles {angle_nodes} vs exact {exact_nodes}")
 
     # weighted counts and the Delta-ceiling step rules
-    w = wronskian_pair(h0, h1, u0e, u1e)
+    sw, _, sb = _wronskian_signs(h0, h1, lam0, lam1)
     d = relative_angle_sequence(p0, p1)
     dcs = delta_ceils(d)
-    exact = weighted_node_report(w)
+    exact = _report(sw, sb)
     angle_weighted = weighted_count_via_angles(d)
     if angle_weighted != exact.count:
         bad.append(f"weighted count: angles {angle_weighted} vs exact {exact.count}")
 
     for n in range(n_par):
-        bd = w.b_diff[n]  # diagonal difference of the shifted operators
         jump = dcs[n + 1] - dcs[n]
-        # sign-definite weights bound the ceiling step
-        if bd >= 0 and jump not in (0, 1):
+        # sign-definite weights (of the shifted operators) bound the ceiling step
+        if sb[n] >= 0 and jump not in (0, 1):
             bad.append(f"ceiling step bound (>=) violated at {n}: jump {jump}")
-        if bd <= 0 and jump not in (-1, 0):
+        if sb[n] <= 0 and jump not in (-1, 0):
             bad.append(f"ceiling step bound (<=) violated at {n}: jump {jump}")
         # the ceiling step is the exact weighted node indicator
         want = exact.details[n]

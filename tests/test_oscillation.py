@@ -36,6 +36,7 @@ from relosc.recurrence import (
     _int_solve,
     _int_wronskian,
     _scaled_equations,
+    _wronskian_signs,
     solve_minus,
     solve_plus,
     wronskian_pair,
@@ -242,6 +243,16 @@ def test_exact_counts_on_random_pairs_at_large_dimension(dim, seed):
         assert relative_count(h0, h1, l0, l1) == expected
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+def test_exact_relative_count_on_random_pairs_at_dimension_2000(seed):
+    rng = random.Random(seed)
+    h0, h1 = verify.random_pair(rng, 2000)
+    e0, e1 = (np.linalg.eigvalsh(oracle.dense(h)) for h in (h0, h1))
+    lam = _threshold_off(rng, e0, e1)
+    expected = np.sum(e1 < float(lam)) - np.sum(e0 <= float(lam))
+    assert relative_count(h0, h1, lam, lam) == expected
+
+
 def _signs(values):
     return classify(values)[0]
 
@@ -302,6 +313,26 @@ def test_integer_signs_match_fraction_signs_index_by_index(kind, dim, draws):
             assert [-s for s in _signs(_int_wronskian(up, down, c1, c0))] == _signs(w_b.values)
             expected = weighted_node_report(w_a), weighted_node_report(w_b)
             assert relative_count_report(h0, h1, lam0, lam1) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 60, 200])
+@pytest.mark.parametrize("kind", ["float", "mixed"])
+def test_float_wronskian_signs_match_classify_index_by_index(kind, dim):
+    # any input that is not exact takes the solutions and classify, never the integer loops
+    rng = random.Random(f"{kind}:{dim}")
+    for _ in range(4):
+        if kind == "float":
+            h0, h1 = verify.random_float_pair(rng, dim)
+            lam0, lam_other = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+        else:  # exact matrices with a float threshold, and once an exact lambda1
+            h0, h1 = verify.random_pair(rng, dim)
+            lam0, lam_other = float(verify.rand_fraction(rng)), verify.rand_fraction(rng)
+        for lam1 in (lam0, lam_other):
+            w_a = wronskian_pair(h0, h1, solve_minus(h0, lam0), solve_plus(h1, lam1))
+            w_b = wronskian_pair(h0, h1, solve_plus(h0, lam0), solve_minus(h1, lam1))
+            assert _signs(w_b.b_diff) == _signs(w_a.b_diff)
+            expected = _signs(w_a.values), _signs(w_b.values), _signs(w_a.b_diff)
+            assert _wronskian_signs(h0, h1, lam0, lam1) == expected
 
 
 def test_relative_count_at_a_forced_eigenvalue_at_large_dimension():

@@ -154,6 +154,19 @@ def test_pruefer_suite_catches_a_wrong_ceiling_step(monkeypatch):
     assert any("case table" in c for c in checks)
 
 
+def test_pruefer_suite_consults_the_exact_wronskian_signs(monkeypatch):
+    exact_signs = verify._wronskian_signs
+
+    def flipped(h0, h1, z0, z1):
+        sw_a, sw_b, sb = exact_signs(h0, h1, z0, z1)
+        return [-sw_a[0]] + sw_a[1:], sw_b, sb  # W_0 has the wrong sign
+
+    monkeypatch.setattr(verify, "_wronskian_signs", flipped)
+    report = verify.pruefer_suite(5, seed=1, max_dim=6)
+    checks = [c for failure in report.failures for c in failure["checks"]]
+    assert any("weighted count" in c or "case table" in c for c in checks)
+
+
 def test_band_sign_on_a_branch_boundary_is_ambiguous():
     # s_-(sqrt2, 4) of the float free matrix is -6.7e-16, inside the tolerance band
     h = new_jacobi(4, [-1.0, -1.0], [0.0, 0.0, 0.0])
