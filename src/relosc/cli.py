@@ -136,7 +136,7 @@ def cmd_spectrum(args, mode_override: str) -> int:
 def cmd_count(args, mode_override: str) -> int:
     mode, (h,), (lam,) = _load(mode_override, [args.file], [args.lam])
     count = count_below(h, lam)
-    report = {"count": count, "lambda": format_scalar(lam, mode == "exact"), "mode": mode}
+    report = {"count": count, "lambda": format_scalar(lam), "mode": mode}
     return _emit_checked(report, count, lambda: oracle_count(h, lam), f"count below {args.lam}")
 
 
@@ -148,8 +148,8 @@ def cmd_relative(args, mode_override: str) -> int:
     report = {
         "relative_count": count,
         "pairings_agree": True,
-        "lambda0": format_scalar(lam0, mode == "exact"),
-        "lambda1": format_scalar(lam1, mode == "exact"),
+        "lambda0": format_scalar(lam0),
+        "lambda1": format_scalar(lam1),
         "mode": mode,
     }
     return _emit_checked(

@@ -59,7 +59,9 @@ class NoConvergence(ReloscError):
 class NonFiniteValue(ReloscError, ValueError):
     """A float matrix entry or spectral parameter is NaN or infinite, or an
     exact value is beyond binary64 where a float is needed (a spectral
-    parameter in float mode, or an entry or threshold given to the oracle)."""
+    parameter in float mode, or an entry or threshold given to the oracle),
+    or a float whose sign is needed is NaN or infinite (an overflowed
+    solution or Wronskian)."""
 
 
 class ParseError(ReloscError):

@@ -7,7 +7,8 @@ compared exactly, and a float entry x counts as zero iff
 ``|x| <= TAU_ABS + TAU_REL * scale``, where scale is the largest ``|x|``
 over the sequence's float entries (1.0 when that is zero or there are
 none).  A float called zero that is not exactly zero lies in the
-tolerance band, which callers report or refuse to resolve.
+tolerance band, which callers report or refuse to resolve.  A float entry
+that is NaN or infinite has no usable sign and raises ``NonFiniteValue``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .errors import NonFiniteValue
 
 Number = Union[int, Fraction, float]
 
@@ -35,7 +38,8 @@ def is_exact(x: Number) -> bool:
 
 def classify(values: Iterable[Number]) -> tuple:
     """(signs, band) of a sequence: signs[n] in {-1, 0, +1}, and band[n]
-    true when a float is classified as zero but is not exactly zero."""
+    true when a float is classified as zero but is not exactly zero.
+    Raises NonFiniteValue at the first NaN or infinite float."""
     values = tuple(values)
     m = max((abs(float(v)) for v in values if not is_exact(v)), default=0.0)
     tol = TAU_ABS + TAU_REL * (m if m > 0.0 else 1.0)
@@ -44,6 +48,8 @@ def classify(values: Iterable[Number]) -> tuple:
         if is_exact(x):
             signs.append((x > 0) - (x < 0))
             band.append(False)
+        elif not math.isfinite(x):
+            raise NonFiniteValue(f"the sign of {x!r} is undefined")
         elif abs(x) <= tol:
             signs.append(0)
             band.append(x != 0.0)
@@ -82,10 +88,10 @@ def parse_scalar(value) -> Number:
     raise ValueError(f"{render(value)} is not finite in binary64")
 
 
-def format_scalar(x: Number, exact: bool):
-    """Render for a report: rational string in exact mode, shortest
+def format_scalar(x: Number):
+    """Render for a report: rational string for an exact value, shortest
     round-trip float otherwise."""
-    if exact:
+    if is_exact(x):
         f = Fraction(x)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     return float(x)

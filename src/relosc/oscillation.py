@@ -35,7 +35,6 @@ class CountReport:
     """A count together with the per-index indicators that produced it."""
 
     count: int
-    method: str  # always "direct-signs"
     details: tuple  # per-index indicator list
     boundary_correction: int = 0
 
@@ -115,7 +114,7 @@ def _report(sw: list, sb: list) -> CountReport:
         _indicator_from_signs(sw[n], sw[n + 1], sb[n]) for n in range(len(sw) - 1)
     )
     correction = -1 if sw[0] == 0 else 0
-    return CountReport(sum(indicators) + correction, "direct-signs", indicators, correction)
+    return CountReport(sum(indicators) + correction, indicators, correction)
 
 
 def weighted_node_report(w: WronskianSequence) -> CountReport:

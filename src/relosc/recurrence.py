@@ -41,7 +41,6 @@ class SolutionSequence:
     side: str  # "minus" | "plus"
     values: tuple
     N: int
-    scale_log: float = 0.0  # log of the accumulated positive rescaling
 
 
 def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> SolutionSequence:
@@ -62,7 +61,6 @@ def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> Solution
     u = [0 * z, 1 + 0 * z]
     if side == "plus":
         a, b, u = a[::-1], b[::-1], u[::-1]
-    scale_log = 0.0
     for n in range(1, h.N + 1):
         # on the minus side b[n-1] = b(n) and a[n] = a(n)
         nxt = ((z - b[n - 1]) * u[n] - a[n - 1] * u[n - 1]) / a[n]
@@ -72,10 +70,9 @@ def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> Solution
             if m > RENORM_THRESHOLD:
                 u[n] /= m
                 u[n + 1] /= m
-                scale_log += math.log(m)
     if side == "plus":
         u.reverse()
-    return SolutionSequence(z, side, tuple(u), h.N, scale_log)
+    return SolutionSequence(z, side, tuple(u), h.N)
 
 
 def _scaled_equations(h0: JacobiMatrix, h1: JacobiMatrix, z0: Number, z1: Number) -> tuple:

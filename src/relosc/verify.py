@@ -16,7 +16,13 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .errors import BranchAmbiguity, DegenerateSolution, InconsistentSigns, MarginViolation
+from .errors import (
+    BranchAmbiguity,
+    DegenerateSolution,
+    InconsistentSigns,
+    MarginViolation,
+    NonFiniteValue,
+)
 from .jacobi import JacobiMatrix, interpolate, to_exact_matrix, to_float_matrix
 from .numeric import format_scalar
 from .homotopy import (
@@ -89,12 +95,8 @@ def random_pair(rng: random.Random, dim: int):
     return h0, JacobiMatrix(h0.N, h0.a, b1)
 
 
-def _describe(h: JacobiMatrix, exact: bool = True) -> dict:
-    return {
-        "N": h.N,
-        "a": [format_scalar(x, exact) for x in h.a],
-        "b": [format_scalar(x, exact) for x in h.b],
-    }
+def _describe(h: JacobiMatrix) -> dict:
+    return {"N": h.N, "a": [format_scalar(x) for x in h.a], "b": [format_scalar(x) for x in h.b]}
 
 
 def _draw(report: VerifyReport, draw):
@@ -117,21 +119,19 @@ def _check(report: VerifyReport, expected, actual, instance: dict) -> None:
         report.failures.append({**instance, "expected": expected, "actual": actual})
 
 
-def thm11_suite(
-    trials: int, seed: int, min_dim: int = 1, max_dim: int = 12
-) -> VerifyReport:
+def thm11_suite(trials: int, seed: int, max_dim: int = 12) -> VerifyReport:
     """Node count of s_- vs the oracle's strict eigenvalue count."""
     report = VerifyReport("thm11", trials, seed, "exact")
     for trial in range(trials):
         rng = _trial_rng("thm11", seed, trial)
 
         def draw():
-            h = random_jacobi(rng, rng.randint(min_dim, max_dim))
+            h = random_jacobi(rng, rng.randint(1, max_dim))
             lam = rand_fraction(rng)
             return h, lam, oracle_count(h, lam)
 
         h, lam, expected = _draw(report, draw)
-        instance = {"instance": _describe(h), "lambda": format_scalar(lam, True)}
+        instance = {"instance": _describe(h), "lambda": format_scalar(lam)}
         _check(report, expected, count_below(h, lam), instance)
     return report
 
@@ -151,16 +151,16 @@ def _forced_eigenvalue_matrix(rng: random.Random, dim: int, lam: Fraction):
     return JacobiMatrix(N, a, b_head + (lam - h.extended_a(N - 2) * u[N - 2] / u[N - 1],))
 
 
-def _draw_pair(rng: random.Random, min_dim: int, max_dim: int):
-    h0, h1 = random_pair(rng, rng.randint(min_dim, max_dim))
+def _draw_pair(rng: random.Random, max_dim: int):
+    h0, h1 = random_pair(rng, rng.randint(1, max_dim))
     lam0, lam1 = rand_fraction(rng), rand_fraction(rng)
     return h0, h1, lam0, lam1, oracle_relative_count(h0, h1, lam0, lam1)
 
 
-def _draw_forced_pair(rng: random.Random, min_dim: int, max_dim: int):
+def _draw_forced_pair(rng: random.Random, max_dim: int):
     """A pair whose H0 has lambda0 as an eigenvalue, or None on a degenerate
     draw or when another eigenvalue of H0 sits in the margin band."""
-    dim = rng.randint(min_dim, max_dim)
+    dim = rng.randint(1, max_dim)
     lam0 = rand_fraction(rng)
     h0 = _forced_eigenvalue_matrix(rng, dim, lam0)
     if h0 is None:
@@ -176,35 +176,28 @@ def _draw_forced_pair(rng: random.Random, min_dim: int, max_dim: int):
     return h0, h1, lam0, lam1, oracle_count(h1, lam1) - below_eq0
 
 
-def thm12_suite(
-    trials: int,
-    seed: int,
-    eigen_trials: int = 0,
-    min_dim: int = 1,
-    max_dim: int = 12,
-) -> VerifyReport:
+def thm12_suite(trials: int, seed: int, max_dim: int = 12) -> VerifyReport:
     """Relative count (both pairings) vs the oracle difference
-    #{E < lambda1 in sigma(H1)} - #{E <= lambda0 in sigma(H0)}.  The
-    thm12-eigen trials exercise the <= side with lambda0 exactly an
-    eigenvalue of H0."""
-    report = VerifyReport("thm12", trials + eigen_trials, seed, "exact")
+    #{E < lambda1 in sigma(H1)} - #{E <= lambda0 in sigma(H0)}.  One
+    thm12-eigen trial per five (at least one unless trials is 0) exercises
+    the <= side with lambda0 exactly an eigenvalue of H0."""
+    forced = trials and max(trials // 5, 1)
+    report = VerifyReport("thm12", trials + forced, seed, "exact")
     for suite, n_trials, draw_pair in (
         ("thm12", trials, _draw_pair),
-        ("thm12-eigen", eigen_trials, _draw_forced_pair),
+        ("thm12-eigen", forced, _draw_forced_pair),
     ):
         for trial in range(n_trials):
             rng = _trial_rng(suite, seed, trial)
-            h0, h1, lam0, lam1, expected = _draw(
-                report, lambda: draw_pair(rng, min_dim, max_dim)
-            )
+            h0, h1, lam0, lam1, expected = _draw(report, lambda: draw_pair(rng, max_dim))
             if suite == "thm12-eigen" and not is_eigenvalue(h0, lam0):
-                instance = {"instance": _describe(h0), "lambda0": format_scalar(lam0, True)}
+                instance = {"instance": _describe(h0), "lambda0": format_scalar(lam0)}
                 _check(report, "is_eigenvalue", False, instance)
                 continue
             instance = {
                 "instance": {"h0": _describe(h0), "h1": _describe(h1)},
-                "lambda0": format_scalar(lam0, True),
-                "lambda1": format_scalar(lam1, True),
+                "lambda0": format_scalar(lam0),
+                "lambda1": format_scalar(lam1),
             }
             _check(report, expected, relative_count(h0, h1, lam0, lam1), instance)
     return report
@@ -284,25 +277,23 @@ def _check_pruefer_instance(h0, h1, lam0, lam1, failures, describe):
         failures.append({"instance": describe, "checks": bad})
 
 
-def pruefer_suite(
-    trials: int, seed: int, min_dim: int = 1, max_dim: int = 12
-) -> VerifyReport:
+def pruefer_suite(trials: int, seed: int, max_dim: int = 12) -> VerifyReport:
     """Float-mode angle machinery vs the exact sign-based counts, with
     tolerance-band instances rejected and counted."""
     report = VerifyReport("pruefer", trials, seed, "float")
     for trial in range(trials):
         rng = _trial_rng("pruefer", seed, trial)
-        h0, h1 = random_pair(rng, rng.randint(min_dim, max_dim))
+        h0, h1 = random_pair(rng, rng.randint(1, max_dim))
         lam0, lam1 = rand_fraction(rng), rand_fraction(rng)
         describe = {
             "h0": _describe(h0),
             "h1": _describe(h1),
-            "lambda0": format_scalar(lam0, True),
-            "lambda1": format_scalar(lam1, True),
+            "lambda0": format_scalar(lam0),
+            "lambda1": format_scalar(lam1),
         }
         try:
             _check_pruefer_instance(h0, h1, lam0, lam1, report.failures, describe)
-        except (BranchAmbiguity, DegenerateSolution, InconsistentSigns):
+        except (BranchAmbiguity, DegenerateSolution, InconsistentSigns, NonFiniteValue):
             report.rejected += 1
     return report
 
@@ -320,11 +311,12 @@ def random_float_pair(rng: random.Random, dim: int):
     return h0, JacobiMatrix(h0.N, h0.a, b1)
 
 
-def derivative_check(h0, h1, eps, z, rel_tol=1e-6, abs_floor=1e-9):
+def derivative_check(h0, h1, eps, z):
     """Closed-sum Wronskian derivative vs a central finite difference at
     every n and both sides; returns a list of violation descriptions.  The
-    difference is evaluated exactly on the exact images of the inputs: in
-    float arithmetic its own rounding error can exceed rel_tol."""
+    two agree when they differ by at most max(1e-9, 1e-6 * max(|closed|,
+    |fd|)).  The difference is evaluated exactly on the exact images of the
+    inputs: in float arithmetic its own rounding error can exceed 1e-6."""
     bad = []
     h0e, h1e, eps_e, z_e = to_exact_matrix(h0), to_exact_matrix(h1), Fraction(eps), Fraction(z)
     for side in ("plus", "minus"):
@@ -337,7 +329,7 @@ def derivative_check(h0, h1, eps, z, rel_tol=1e-6, abs_floor=1e-9):
         for n in range(h0.N + 1):
             closed = wronskian_eps_derivative(h0, h1, eps, z, side, n)
             approx = float(h0e.extended_a(n) * (u[n] * du[n + 1] - u[n + 1] * du[n]))
-            tol = max(abs_floor, rel_tol * max(abs(closed), abs(approx)))
+            tol = max(1e-9, 1e-6 * max(abs(closed), abs(approx)))
             if abs(closed - approx) > tol:
                 bad.append(
                     f"side={side} n={n} eps={eps}: closed {closed} vs fd {approx}"
@@ -345,9 +337,7 @@ def derivative_check(h0, h1, eps, z, rel_tol=1e-6, abs_floor=1e-9):
     return bad
 
 
-def homotopy_suite(
-    trials: int, seed: int, min_dim: int = 1, max_dim: int = 10
-) -> VerifyReport:
+def homotopy_suite(trials: int, seed: int, max_dim: int = 10) -> VerifyReport:
     """Spectral-flow crossing counts, the derivative formula, and the sign
     conditions on the angle derivative for sign-definite perturbations."""
     report = VerifyReport("homotopy", trials, seed, "float")
@@ -358,7 +348,7 @@ def homotopy_suite(
 
         # crossing count along the two-phase path vs the relative count
         def draw():
-            h0, h1 = random_pair(rng, rng.randint(min_dim, max_dim))
+            h0, h1 = random_pair(rng, rng.randint(1, max_dim))
             lam = rand_fraction(rng)
             return h0, h1, lam, signed_crossing_count(h0, h1, float(lam), MARGIN)
 
@@ -387,10 +377,10 @@ def homotopy_suite(
             report.failures.append(
                 {
                     "instance": {"h0": _describe(h0), "h1": _describe(h1)},
-                    "lambda": format_scalar(lam, True),
+                    "lambda": format_scalar(lam),
                     "float_instance": {
-                        "h0": _describe(h0f, exact=False),
-                        "h1": _describe(h1f, exact=False),
+                        "h0": _describe(h0f),
+                        "h1": _describe(h1f),
                         "z": z,
                         "eps": eps,
                     },
@@ -402,9 +392,7 @@ def homotopy_suite(
 
 SUITES = {
     "thm11": thm11_suite,
-    "thm12": lambda trials, seed, **kw: thm12_suite(
-        trials, seed, eigen_trials=max(trials // 5, 1), **kw
-    ),
+    "thm12": thm12_suite,
     "pruefer": pruefer_suite,
     "homotopy": homotopy_suite,
 }

@@ -7,6 +7,7 @@ import pytest
 from relosc.cli import main, parse_matrix
 from relosc.errors import ParseError
 from relosc.numeric import parse_scalar
+from relosc.verify import SUITES, thm12_suite
 
 
 def write(tmp_path, name, doc):
@@ -210,6 +211,19 @@ def test_mode_override(capsys, one, monkeypatch):
     assert json.loads(out)["mode"] == "float"
     monkeypatch.setenv("RELOSC_MODE", "bogus")
     assert run(capsys, "count", one, "--lambda", "0")[0] == 2
+
+
+@pytest.mark.parametrize("trials, total", [(0, 0), (3, 4), (500, 600)])
+def test_thm12_adds_one_forced_eigenvalue_trial_per_five(trials, total):
+    assert thm12_suite(trials, 1, max_dim=1).trials == total
+    assert SUITES["thm12"](trials, 1, max_dim=1).trials == total
+
+
+def test_verify_zero_trials_runs_no_trial_of_any_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--trials", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert {name: r["trials"] for name, r in doc["suites"].items()} == dict.fromkeys(SUITES, 0)
 
 
 def test_verify_command_deterministic(capsys):

@@ -170,7 +170,6 @@ def test_weighted_report_details():
     w = wronskian_pair(h0, h1, solve_minus(h0, 0), solve_plus(h1, 0))
     rep = weighted_node_report(w)
     assert rep.count == sum(rep.details) + rep.boundary_correction
-    assert rep.method == "direct-signs"
 
 
 def test_relative_count_fixtures():
@@ -406,3 +405,33 @@ def test_exact_threshold_beyond_binary64_on_exact_matrix():
 def test_relative_count_rejects_nan_thresholds():
     with pytest.raises(NonFiniteValue):
         relative_count(FREE4_FLOAT, FREE4_FLOAT, math.nan, math.nan)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, math.nan, -1.0], [1.0, 1e300, math.inf, -2.0], [-math.inf, Fraction(1, 3)]],
+    ids=["nan", "inf", "minus-inf"],
+)
+def test_classify_rejects_non_finite_floats(values):
+    # NaN has no sign, and one inf would raise the zero bar of its whole sequence to inf
+    with pytest.raises(NonFiniteValue):
+        classify(values)
+
+
+def test_count_below_raises_when_the_float_solution_overflows():
+    # s_-(0, .) is (0, 1, inf, -inf, -inf, nan): no count can be read from its signs
+    h = new_jacobi(4, [-1e-200, -1e-200], [1e200, -1e200, 1e200])
+    assert oracle.oracle_count(h, 0.0) == 1
+    with pytest.raises(NonFiniteValue):
+        count_below(h, 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_float_counts_at_dimension_2000_raise_rather_than_answer(seed):
+    rng = random.Random(seed)
+    h0, h1 = verify.random_float_pair(rng, 2000)
+    lam = rng.uniform(-4.0, 4.0)
+    with pytest.raises(NonFiniteValue):
+        count_below(h0, lam)
+    with pytest.raises(NonFiniteValue):
+        relative_count(h0, h1, lam, lam)

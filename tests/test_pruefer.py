@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relosc import verify
-from relosc.errors import BranchAmbiguity, DegenerateSolution, LengthMismatch
+from relosc.errors import BranchAmbiguity, DegenerateSolution, LengthMismatch, NonFiniteValue
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi, to_float_matrix
 from relosc.oscillation import count_nodes, is_node, weighted_node_count
 from relosc.pruefer import (
@@ -165,6 +165,15 @@ def test_pruefer_suite_consults_the_exact_wronskian_signs(monkeypatch):
     report = verify.pruefer_suite(5, seed=1, max_dim=6)
     checks = [c for failure in report.failures for c in failure["checks"]]
     assert any("weighted count" in c or "case table" in c for c in checks)
+
+
+def test_pruefer_suite_rejects_non_finite_values(monkeypatch):
+    def overflowed(h0, h1, z0, z1):
+        raise NonFiniteValue("the sign of inf is undefined")
+
+    monkeypatch.setattr(verify, "_wronskian_signs", overflowed)
+    report = verify.pruefer_suite(5, seed=1, max_dim=6)
+    assert report.rejected == 5 and report.ok
 
 
 def test_band_sign_on_a_branch_boundary_is_ambiguous():
