@@ -8,7 +8,11 @@ with the extended boundary coefficients a(0)=a(N-1)=a(N)=-1, b(N)=0.
 ``solve_minus`` starts from u(0)=0, u(1)=1 and ``solve_plus`` from
 u(N)=0, u(N+1)=1; both produce values on the full index range 0..N+1.
 Both run the one loop in ``_solve``: the plus side is the forward loop on
-the reversed coefficients a(N..0), b(N..1).
+the reversed coefficients a(N..0), b(N..1).  They always return true
+solution values: float ones may overflow, and then raise ``NonFiniteValue``
+where their signs are read.  ``check_wronskian_step`` holds for every
+pairing of minus and plus solutions, with b_diff(n) = b0(n) - b1(n) - z0 + z1
+at every n = 1..N.
 
 ``_wronskian_signs`` is the one place that decides how the Wronskian signs
 of a relative count are computed.  When every input is exact it reads them
@@ -29,9 +33,6 @@ from .errors import LengthMismatch, NonFiniteValue
 from .jacobi import JacobiMatrix
 from .numeric import Number, classify, is_exact
 
-# Renormalization threshold for optional float-mode rescaling on long grids.
-RENORM_THRESHOLD = 2.0**512
-
 
 @dataclass(frozen=True)
 class SolutionSequence:
@@ -43,7 +44,7 @@ class SolutionSequence:
     N: int
 
 
-def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> SolutionSequence:
+def _solve(h: JacobiMatrix, z: Number, side: str) -> SolutionSequence:
     """The one three-term loop behind both solutions.  Coefficients are
     promoted to Fraction when everything is exact, so that division stays
     in the rational field.  The plus side runs the loop on the reversed
@@ -63,13 +64,7 @@ def _solve(h: JacobiMatrix, z: Number, side: str, renormalize: bool) -> Solution
         a, b, u = a[::-1], b[::-1], u[::-1]
     for n in range(1, h.N + 1):
         # on the minus side b[n-1] = b(n) and a[n] = a(n)
-        nxt = ((z - b[n - 1]) * u[n] - a[n - 1] * u[n - 1]) / a[n]
-        u.append(nxt)
-        if renormalize and not is_exact(nxt):
-            m = max(abs(u[n]), abs(nxt))
-            if m > RENORM_THRESHOLD:
-                u[n] /= m
-                u[n + 1] /= m
+        u.append(((z - b[n - 1]) * u[n] - a[n - 1] * u[n - 1]) / a[n])
     if side == "plus":
         u.reverse()
     return SolutionSequence(z, side, tuple(u), h.N)
@@ -121,13 +116,13 @@ def _int_wronskian(up: list, down: list, c_minus: list, c_plus: list) -> list:
 
 
 def solve_minus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> SolutionSequence:
-    """Forward solution with u(0)=0, u(1)=1."""
-    return _solve(h, z, "minus", renormalize)
+    """Forward solution with u(0)=0, u(1)=1.  ``renormalize`` is ignored."""
+    return _solve(h, z, "minus")
 
 
 def solve_plus(h: JacobiMatrix, z: Number, renormalize: bool = False) -> SolutionSequence:
-    """Backward solution with u(N)=0, u(N+1)=1."""
-    return _solve(h, z, "plus", renormalize)
+    """Backward solution with u(N)=0, u(N+1)=1.  ``renormalize`` is ignored."""
+    return _solve(h, z, "plus")
 
 
 def residuals(h: JacobiMatrix, u: SolutionSequence) -> list:
@@ -184,12 +179,12 @@ def wronskian_pair(
     The diagonal difference is taken between the shifted operators
     H0 - z0 and H1 - z1, which both solutions solve at spectral parameter
     zero; this is what the weighted-node weights refer to when the two
-    spectral parameters differ.  The boundary entry keeps the b(N) = 0
-    convention of the shifted problems.
+    spectral parameters differ.  With the extended b(N) = 0 of both
+    matrices, the boundary entry is b_diff(N) = z1 - z0.
     """
     b_diff = tuple(
-        h0.extended_b(n) - h1.extended_b(n) - u0.z + u1.z for n in range(1, h0.N)
-    ) + (0 * (u0.z - u1.z),)
+        h0.extended_b(n) - h1.extended_b(n) - u0.z + u1.z for n in range(1, h0.N + 1)
+    )
     return wronskian_sequence(h0, u0, u1, b_diff)
 
 
@@ -202,8 +197,8 @@ def _wronskian_signs(h0: JacobiMatrix, h1: JacobiMatrix, z0: Number, z1: Number)
         w_b = wronskian_pair(h0, h1, solve_plus(h0, z0), solve_minus(h1, z1))
         return classify(w_a.values)[0], classify(w_b.values)[0], classify(w_a.b_diff)[0]
     up, down, c0, c1 = _scaled_equations(h0, h1, z0, z1)
-    # sign b_diff(n) = sign(c1(n) - c0(n)), and b_diff(N) = 0 by convention
-    sb = classify([y - x for x, y in zip(c0[:-1], c1)] + [0])[0]
+    # sign b_diff(n) = sign(c1(n) - c0(n))
+    sb = classify([y - x for x, y in zip(c0, c1)])[0]
     sw_a = classify(_int_wronskian(up, down, c0, c1))[0]
     # W(s_0+, s_1-) = -W(s_1-, s_0+)
     sw_b = [-s for s in classify(_int_wronskian(up, down, c1, c0))[0]]

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from relosc import oracle, oscillation
 from relosc.cli import main, parse_matrix
-from relosc.errors import ParseError
+from relosc.errors import NoConvergence, PairingDisagreement, ParseError, ReloscError
+from relosc.jacobi import free_matrix
 from relosc.numeric import parse_scalar
 from relosc.verify import SUITES, thm12_suite
 
@@ -297,3 +299,47 @@ def test_decimal_exponent_bound():
             parse_scalar(text)
     with pytest.raises(ValueError, match="not finite"):
         parse_scalar("1e999")
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("relosc: ") and err.count("\n") == 1
+
+
+def test_pairing_disagreement_is_typed_and_exits_2(capsys, monkeypatch, one, neg):
+    # W_0 = 0 in the second pairing only: its boundary correction and first
+    # indicator change, so the two counts differ (negating all of its signs
+    # would leave its report unchanged)
+    signs = oscillation._wronskian_signs
+
+    def broken(*args):
+        sw_a, sw_b, sb = signs(*args)
+        return sw_a, [0] + sw_b[1:], sb
+
+    monkeypatch.setattr(oscillation, "_wronskian_signs", broken)
+    h0, h1 = parse_matrix(one)[0], parse_matrix(neg)[0]
+    with pytest.raises(PairingDisagreement) as exc:
+        oscillation.relative_count(h0, h1, 0, 0)
+    assert isinstance(exc.value, ReloscError)
+    result = run(capsys, "relative", one, neg, "--lambda0", "0", "--lambda1", "0")
+    assert_one_error_line(*result)
+    assert "pairings disagree" in result[2]
+
+
+def test_malformed_json_names_path_and_line(capsys, tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text('{"N": 2,')
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(str(path))
+    assert str(exc.value).startswith(f"{path}:1: ")
+    result = run(capsys, "count", str(path), "--lambda", "0")
+    assert_one_error_line(*result)
+    assert f"{path}:1: " in result[2]
+
+
+def test_oracle_no_convergence_is_typed_and_exits_2(capsys, monkeypatch, free5):
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence) as exc:
+        oracle.eigenvalues_dense(free_matrix(4))
+    assert isinstance(exc.value, ReloscError)
+    assert_one_error_line(*run(capsys, "spectrum", free5))

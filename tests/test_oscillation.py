@@ -369,7 +369,8 @@ def test_pairing_symmetry_and_terminal_indicator(h0, data):
     lam1 = data.draw(fractions_st)
     rep_a, rep_b = relative_count_report(h0, h1, lam0, lam1)
     assert rep_a.count == rep_b.count
-    # b_diff(N) = 0 by convention, so the last indicator always vanishes
+    # each pairing has a plus solution, which vanishes at N, so W_N = W_{N-1}
+    # and the last indicator always vanishes
     assert rep_a.details[-1] == 0
     assert rep_b.details[-1] == 0
 

@@ -10,6 +10,7 @@ from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi, to_float_matrix
 from relosc.oscillation import count_nodes, is_node, weighted_node_count
 from relosc.pruefer import (
     RelativeAngleSequence,
+    _resolve_ceil,
     delta_ceils,
     node_count_via_angles,
     pruefer_sequence,
@@ -181,3 +182,23 @@ def test_band_sign_on_a_branch_boundary_is_ambiguous():
     h = new_jacobi(4, [-1.0, -1.0], [0.0, 0.0, 0.0])
     with pytest.raises(BranchAmbiguity):
         node_count_via_angles(pruefer_sequence(solve_minus(h, math.sqrt(2))))
+
+
+@pytest.mark.parametrize(
+    "theta, s, ceil",
+    [
+        (PI * (1 - 1e-13), 1, 1),
+        (PI * (1 + 1e-13), -1, 2),
+        (2 * PI * (1 + 1e-13), -1, 2),
+        (2 * PI * (1 - 1e-13), 1, 3),
+    ],
+)
+def test_sign_decides_the_ceiling_near_a_multiple_of_pi(theta, s, ceil):
+    # the sign of the sin-part overrides an angle within rounding of j pi:
+    # sin > 0 puts theta in (2i pi, (2i+1) pi), sin < 0 in ((2i-1) pi, 2i pi)
+    assert _resolve_ceil(theta, s, False) == ceil
+
+
+def test_exact_zero_sin_part_off_a_multiple_of_pi_is_ambiguous():
+    with pytest.raises(BranchAmbiguity):
+        _resolve_ceil(0.5, 0, False)

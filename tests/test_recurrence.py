@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from relosc.errors import LengthMismatch, NonFiniteValue
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
+from relosc.oscillation import count_below
 from relosc.recurrence import (
     check_wronskian_step,
     residuals,
@@ -16,6 +17,8 @@ from relosc.recurrence import (
 )
 
 from test_jacobi import fractions_st, jacobi_st
+
+PAIRINGS = [(s0, s1) for s0 in (solve_minus, solve_plus) for s1 in (solve_minus, solve_plus)]
 
 
 def test_solve_minus_free_matrix():
@@ -101,13 +104,16 @@ def test_wronskian_length_checks():
 
 @given(jacobi_st(), st.data())
 def test_step_identity_exact(h0, data):
+    # b_diff(N) = z1 - z0, so the identity holds at n = N-1 for every
+    # pairing, not only when one solution vanishes at N
     b1 = tuple(data.draw(fractions_st) for _ in range(h0.dim))
     h1 = JacobiMatrix(h0.N, h0.a, b1)
     z0 = data.draw(fractions_st)
     z1 = data.draw(fractions_st)
-    u0, u1 = solve_minus(h0, z0), solve_plus(h1, z1)
-    w = wronskian_pair(h0, h1, u0, u1)
-    assert check_wronskian_step(w, u0, u1) == 0
+    for solve0, solve1 in PAIRINGS:
+        u0, u1 = solve0(h0, z0), solve1(h1, z1)
+        w = wronskian_pair(h0, h1, u0, u1)
+        assert check_wronskian_step(w, u0, u1) == 0
 
 
 @given(jacobi_st(), fractions_st, fractions_st)
@@ -128,22 +134,25 @@ def test_float_step_residual_small():
     b1 = tuple(rng.uniform(-2, 2) for _ in range(n_par - 1))
     h0 = JacobiMatrix(n_par, a, b0)
     h1 = JacobiMatrix(n_par, a, b1)
-    u0, u1 = solve_minus(h0, 0.3), solve_plus(h1, 0.3)
-    w = wronskian_pair(h0, h1, u0, u1)
-    scale = max(abs(v) for v in w.values)
-    assert check_wronskian_step(w, u0, u1) <= 1e-10 * scale
+    for solve0, solve1 in PAIRINGS:
+        u0, u1 = solve0(h0, 0.3), solve1(h1, -0.4)
+        w = wronskian_pair(h0, h1, u0, u1)
+        scale = max(abs(v) for v in w.values)
+        assert check_wronskian_step(w, u0, u1) <= 1e-10 * scale
 
 
-def test_renormalization_prevents_overflow_and_keeps_signs():
+def test_renormalize_keyword_is_ignored_and_overflow_raises():
     n_par = 800
     h = free_matrix(n_par)
     hf = JacobiMatrix(n_par, tuple(-1.0 for _ in h.a), tuple(0.0 for _ in h.b))
-    plain = solve_minus(hf, -5.0)
-    assert not math.isfinite(plain.values[-1])  # growth ~4.8^n overflows
-    u = solve_minus(hf, -5.0, renormalize=True)
-    assert all(math.isfinite(v) for v in u.values)
-    # below the spectrum the solution stays strictly positive after u(0)
-    assert all(v > 0 for v in u.values[1:])
+    for solve in (solve_minus, solve_plus):
+        u = solve(hf, -2.5)  # grows like 2^n, up to about 1e241
+        assert solve(hf, -2.5, renormalize=True).values == u.values
+        scale = max(abs(v) for v in u.values)
+        assert max(abs(r) for r in residuals(hf, u)) <= 1e-12 * scale
+    # growth ~4.8^n overflows binary64, and the signs of inf are not read
+    with pytest.raises(NonFiniteValue):
+        count_below(hf, -5.0)
 
 
 @pytest.mark.parametrize(
