@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from relosc.errors import MarginViolation, NonFiniteValue
 from relosc.homotopy import signed_crossing_count
 from relosc.jacobi import JacobiMatrix, free_matrix, new_jacobi
 from relosc.oracle import (
+    OFFDIAG_TOL,
     SpectrumReport,
+    _rounds,
     count_below_oracle,
     dense,
     eigenvalues_dense,
@@ -109,6 +112,23 @@ def test_residual_reported():
     assert 0 <= s.max_offdiag_residual <= 1e-14 * norm
 
 
+def _frobenius(m):
+    """||m||_F without squaring entries that would over- or underflow."""
+    top = float(np.max(np.abs(m)))
+    return top * math.sqrt(float(np.sum((m / top) ** 2))) if top else 0.0
+
+
+def _check_against_eigvalsh(h):
+    m = dense(h)
+    ref, fro = np.linalg.eigvalsh(m), _frobenius(m)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        s = eigenvalues_dense(h)
+    assert s.method == "cyclic-plane-rotations"
+    assert np.max(np.abs(np.array(s.eigenvalues) - ref)) <= 1e-12 * fro
+    assert 0 <= s.max_offdiag_residual <= OFFDIAG_TOL * fro
+
+
 def _scaled_random(scale):
     rng = random.Random(5)
     a = tuple(-rng.uniform(0.1, 3.0) * scale for _ in range(7))
@@ -130,6 +150,7 @@ def _scaled_random(scale):
 )
 def test_extreme_scale_matches_eigvalsh(h):
     # squares of these entries over- or underflow binary64
+    _check_against_eigvalsh(h)
     s = eigenvalues_dense(h)
     ref = np.linalg.eigvalsh(dense(h))
     top = np.max(np.abs(ref))  # ||H||_F <= sqrt(dim) * top, computed without squares
@@ -149,3 +170,50 @@ def test_extreme_scale_matches_eigvalsh(h):
 def test_value_beyond_binary64_raises_typed_error(call):
     with pytest.raises(NonFiniteValue, match="beyond binary64"):
         call()
+
+
+@pytest.mark.parametrize("d", range(1, 42))
+def test_round_robin_schedule_covers_each_pair_once(d):
+    rounds = _rounds(d)
+    assert len(rounds) == (d - 1 if d % 2 == 0 else d)
+    seen = []
+    for p, q in rounds:
+        members = [*p.tolist(), *q.tolist()]
+        assert len(set(members)) == len(members)  # disjoint pairs
+        assert all(0 <= x < d for x in members)
+        seen += [(x, y) for x, y in zip(p.tolist(), q.tolist())]
+    assert all(x < y for x, y in seen)
+    assert sorted(seen) == [(x, y) for x in range(d) for y in range(x + 1, d)]
+
+
+def _random_float(d, rng):
+    a = tuple(-rng.uniform(0.1, 3.0) for _ in range(d - 1))
+    b = tuple(rng.uniform(-3.0, 3.0) for _ in range(d))
+    return JacobiMatrix(d + 1, a, b)
+
+
+@pytest.mark.parametrize("d,draws", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (8, 5),
+                                     (13, 5), (40, 3), (60, 3), (100, 1), (200, 1)])
+def test_round_robin_matches_eigvalsh_on_seeded_draws(d, draws):
+    rng = random.Random(1000 + d)
+    for _ in range(draws):
+        _check_against_eigvalsh(_random_float(d, rng))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        new_jacobi(3, [-0.5], [1.0, 1.0]),
+        new_jacobi(6, [-1.0, -2.0, -0.5, -3.0], [2.0] * 5),
+        new_jacobi(3, [-1e-200], [0.0, 1e100]),
+        new_jacobi(3, [-1e-320], [1e300, 1.0]),
+        new_jacobi(4, [-1.0, -1e-310], [1e300, 1.0, -1e300]),
+    ],
+    ids=["equal-diagonal-2", "equal-diagonal-5", "coupling-far-below-gap", "scaled-to-zero",
+         "scaled-to-zero-inner"],
+)
+def test_rotation_edge_cases_match_eigvalsh_without_warnings(h):
+    # equal diagonals rotate by pi/4; a coupling 1e-300 times the gap took the
+    # old large-tau branch; 1e-320 and 1e-310 turn into exact zeros when the
+    # copy is scaled by 2**-997
+    _check_against_eigvalsh(h)
